@@ -8,7 +8,7 @@
 //! then the best of `REPS` timed repetitions is reported — the minimum is
 //! the standard low-noise estimator for deterministic workloads.
 
-use simcore::{Engine, EventQueue, Model, SimTime};
+use simcore::{ShardIo, ShardModel, ShardedEngine, SimTime};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -40,9 +40,10 @@ enum Ev {
     Ping,
 }
 
-impl Model for PingPong {
+impl ShardModel for PingPong {
     type Event = Ev;
-    fn handle(&mut self, now: SimTime, _ev: Ev, q: &mut EventQueue<Ev>) {
+    type Obs = ();
+    fn handle(&mut self, now: SimTime, _ev: Ev, io: &mut ShardIo<'_, Ev, ()>) {
         // Data-dependent delays keep the optimizer from collapsing the event
         // chain into a closed form: each delay depends on the running
         // checksum, which depends on every prior event time.
@@ -52,21 +53,23 @@ impl Model for PingPong {
             .wrapping_add(now.as_micros());
         if self.remaining > 0 {
             self.remaining -= 1;
-            q.schedule_after(SimTime::from_micros(1 + (self.checksum & 7)), Ev::Ping);
+            io.schedule_after(SimTime::from_micros(1 + (self.checksum & 7)), Ev::Ping);
         }
     }
+    fn ingest(&mut self, _: SimTime, _: ()) {}
 }
 
 fn bench_engine() {
     const EVENTS: u64 = 100_000;
     bench("event_chain_100k", EVENTS, || {
-        let mut e = Engine::new(PingPong {
+        let model = PingPong {
             remaining: black_box(EVENTS),
             checksum: black_box(1),
-        });
-        e.schedule(SimTime::ZERO, Ev::Ping);
+        };
+        let mut e = ShardedEngine::new(vec![model], SimTime::ZERO);
+        e.schedule(0, SimTime::ZERO, Ev::Ping);
         e.run_until(SimTime::MAX);
-        black_box((e.events_processed(), e.model().checksum));
+        black_box((e.events_processed(), e.model(0).checksum));
     });
 }
 

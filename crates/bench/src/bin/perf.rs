@@ -2,12 +2,10 @@
 //!
 //! Runs a fixed suite — one representative configuration per figure
 //! harness, one deliberately large stress topology, and one million-session
-//! closed-loop point (serial *and* under the horizon-sharded engine at 2, 4,
-//! and 8 worker threads) — with engine profiling on, and writes a
-//! schema-versioned `BENCH_8.json` (see
-//! `ntier_report::bench_json`) with events/sec, wall-clock, event counts,
-//! peak RSS, and — for the parallel members — per-shard utilization and
-//! barrier-stall share, fingerprinted with the machine it ran on.
+//! closed-loop point — with engine profiling on, and writes a
+//! schema-versioned `BENCH_8.json` (see `ntier_report::bench_json`) with
+//! events/sec, wall-clock, event counts, and peak RSS, fingerprinted with
+//! the machine it ran on.
 //!
 //! ```text
 //! cargo run --release -p ntier-bench --bin perf -- --quick
@@ -21,29 +19,22 @@
 //!     baseline's hard tolerance (2x by default).
 //! ```
 //!
-//! Simulated results are deterministic — the parallel members reproduce the
-//! serial members' outputs bit-for-bit (proven by the differential and
-//! golden suites) — so only the wall-clock side varies by machine, which is
-//! why the baseline embeds tolerances and a fingerprint instead of expecting
-//! exact numbers. The per-shard rows record *where* parallel wall-clock
-//! went: busy inside barrier rounds vs. stalled at the lookahead horizon.
-//! On a single-core machine the parallel members measure the sharding
-//! overhead honestly (expect ≤ 1x, all stall) rather than a speedup.
+//! Simulated results are deterministic, so only the wall-clock side varies
+//! by machine, which is why the baseline embeds tolerances and a
+//! fingerprint instead of expecting exact numbers.
 
 use bench::{spec_scheduled, BenchArgs, Schedule};
 use ntier_core::{HardwareConfig, SoftAllocation};
-use ntier_report::{workspace_root, BenchEntry, BenchReport, Severity, ShardEntry};
+use ntier_report::{workspace_root, BenchEntry, BenchReport, Severity};
 use std::path::PathBuf;
 use tiers::run_system_profiled;
 
-/// One suite member: a named representative configuration, plus the worker
-/// count for its sharded engine (1 = the classic serial run).
+/// One suite member: a named representative configuration.
 struct Member {
     name: &'static str,
     hw: HardwareConfig,
     soft: SoftAllocation,
     users: u32,
-    par_run: u32,
 }
 
 /// The fixed suite. Each figure harness is represented by one point of its
@@ -51,29 +42,17 @@ struct Member {
 /// large non-paper topology that leans on replica fan-out; `stress1m` is a
 /// million-session closed-loop run exercising lazy session materialization
 /// and the staged-arrival lane (sessions vastly outnumber service capacity,
-/// so it stresses queue depth, not throughput). The `stress1m-parN` members
-/// rerun the same configuration under the horizon-sharded engine with N
-/// worker threads — same bits out, different wall-clock — so the committed
-/// trajectory records the parallel overhead/speedup alongside the serial
-/// baseline.
+/// so it stresses queue depth, not throughput).
 fn suite() -> Vec<Member> {
     let m = |name, hw, soft, users| Member {
         name,
         hw,
         soft,
         users,
-        par_run: 1,
     };
     let h1212 = HardwareConfig::one_two_one_two();
     let h1414 = HardwareConfig::one_four_one_four();
     let rot = SoftAllocation::rule_of_thumb();
-    let stress1m = |name, par_run| Member {
-        name,
-        hw: HardwareConfig::new(1, 8, 1, 8),
-        soft: rot,
-        users: 1_000_000,
-        par_run,
-    };
     vec![
         m("fig2", h1212, SoftAllocation::conservative(), 5400),
         m("fig3", h1414, rot, 7000),
@@ -84,10 +63,7 @@ fn suite() -> Vec<Member> {
         m("fig10", h1414, SoftAllocation::conservative(), 5000),
         m("table1", h1212, rot, 2000),
         m("stress", HardwareConfig::new(1, 8, 1, 8), rot, 12000),
-        stress1m("stress1m", 1),
-        stress1m("stress1m-par2", 2),
-        stress1m("stress1m-par4", 4),
-        stress1m("stress1m-par8", 8),
+        m("stress1m", HardwareConfig::new(1, 8, 1, 8), rot, 1_000_000),
     ]
 }
 
@@ -120,9 +96,9 @@ fn main() {
     // One untimed warm-up of the largest member before anything is
     // measured: the first million-session run in a process pays every page
     // fault for the session slabs, and later runs reuse the allocator's
-    // warm pages — without this, whichever stress1m member ran first would
-    // look ~2x slower than its siblings for reasons that have nothing to do
-    // with the engine (measured: 2.5s cold vs 1.4s warm on one core).
+    // warm pages — without this, the stress1m member would measure the
+    // allocator's cold start rather than the engine (measured: 2.5s cold vs
+    // 1.4s warm on one core).
     {
         let spec = spec_scheduled(
             HardwareConfig::new(1, 8, 1, 8),
@@ -136,37 +112,14 @@ fn main() {
     let mut report = BenchReport::new(args.quick);
     for member in suite() {
         let spec = spec_scheduled(member.hw, member.soft, member.users, schedule);
-        let mut cfg = spec.to_config();
-        if let Some(kind) = args.queue {
-            cfg.queue = kind;
-        }
-        // `--par-run` overrides the whole suite (ad-hoc exploration); the
-        // committed baseline runs without it, so the members' own worker
-        // counts (serial, plus the stress1m-parN ladder) hold.
-        cfg.par_run = args.par_run.unwrap_or(member.par_run);
-        let out = run_system_profiled(cfg);
+        let out = run_system_profiled(spec.to_config());
         let profile = out.profile.as_ref().expect("profiled run");
-        let shards: Vec<ShardEntry> = if member.par_run > 1 || args.par_run.is_some() {
-            profile
-                .shards
-                .iter()
-                .map(|s| ShardEntry {
-                    shard: s.shard as u64,
-                    events: s.events_processed,
-                    utilization: s.utilization(profile.wall_secs),
-                    stall_share: s.stall_share(profile.wall_secs),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let entry = BenchEntry {
             name: member.name.to_string(),
             events: profile.events_processed,
             wall_secs: profile.wall_secs,
             events_per_sec: profile.events_per_sec(),
             peak_rss_bytes: profile.peak_rss_bytes,
-            shards,
         };
         println!(
             "{:<13} {:>9} events  {:>6.2}s  {:>11.0} ev/s  rss {}",
@@ -179,15 +132,6 @@ fn main() {
                 .map(|b| format!("{:.0} MiB", b as f64 / (1024.0 * 1024.0)))
                 .unwrap_or_else(|| "n/a".into()),
         );
-        for s in &entry.shards {
-            println!(
-                "    shard {}  {:>9} events  util {:>5.1}%  stall {:>5.1}%",
-                s.shard,
-                s.events,
-                s.utilization * 100.0,
-                s.stall_share * 100.0,
-            );
-        }
         report.entries.push(entry);
     }
 

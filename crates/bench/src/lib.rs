@@ -47,22 +47,14 @@ pub fn spec_scheduled(
 
 /// Start a figure's experiment plan from the shared CLI flags: the bench
 /// schedule (honoring `--quick`), passive windowed collection when
-/// `--metrics` was given, engine profiling when `--profile` was, the
-/// `--queue` event-list backend when one was named, and the `--par-run`
-/// worker count for each point's sharded engine. Add variants and the
-/// workload ramp, then run it with [`execute`].
+/// `--metrics` was given, and engine profiling when `--profile` was. Add
+/// variants and the workload ramp, then run it with [`execute`].
 pub fn plan(name: &str, args: &BenchArgs) -> ExperimentPlan {
     let mut p = ExperimentPlan::new(name)
         .with_schedule(args.schedule())
         .with_profile(args.profile);
     if let Some(sink) = &args.metrics {
         p = p.with_metrics(sink.config());
-    }
-    if let Some(kind) = args.queue {
-        p = p.with_queue(kind);
-    }
-    if let Some(n) = args.par_run {
-        p = p.with_par_run(n);
     }
     let flight = args.flight();
     if flight.enabled() {

@@ -333,7 +333,7 @@ pub struct AnalyticTestbed {
 }
 
 impl AnalyticTestbed {
-    /// Model calibrated like the simulator's defaults.
+    /// An analytic testbed calibrated like the simulator's defaults.
     pub fn calibrated(hardware: HardwareConfig) -> Self {
         AnalyticTestbed {
             hardware,

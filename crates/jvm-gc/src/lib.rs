@@ -6,7 +6,7 @@
 //! processing for the whole collection. With 800 connections the collector
 //! consumed ~90% of the C-JDBC CPU; with 40 connections, ~1%.
 //!
-//! ## Model
+//! ## The model
 //!
 //! * **Live set** `L = base + threads·per_thread + conns·per_conn` — memory
 //!   that survives every collection.

@@ -35,13 +35,6 @@
 //!   bit-identical with or without the flag.
 //! * `--profile` — enable engine profiling on every run and print a
 //!   phase-timing/throughput summary after the tables. Also passive.
-//! * `--queue heap|calendar` — future-event-list backend for every run.
-//!   Both backends pop in the identical order (proven by differential and
-//!   golden tests), so this is a performance knob only.
-//! * `--par-run N` — worker threads for the horizon-sharded single-run
-//!   engine (default 1 = serial). The shard layout is topology-fixed and
-//!   independent of `N`, so every value reproduces bit-identical results;
-//!   like `--queue`, a performance knob only.
 //! * `--tail-sample K` — arm the tail-sampling flight recorder: retain the
 //!   K slowest (plus all failed) traces per 100 ms window with their
 //!   critical-path attribution. Passive; requires tracing on the run.
@@ -57,7 +50,7 @@ use ntier_core::{
     FlightConfig, HardwareConfig, MetricsSink, RetryPolicy, SloPolicy, SoftAllocation, Tier,
     Topology, TopologyError,
 };
-use simcore::{QueueKind, SimTime};
+use simcore::SimTime;
 use std::path::PathBuf;
 use workload::RetryBudget;
 
@@ -90,15 +83,6 @@ pub struct BenchArgs {
     /// phase-timing summary afterwards. Passive — the printed tables are
     /// bit-identical with or without it.
     pub profile: bool,
-    /// `--queue` future-event-list backend override (`None` keeps the
-    /// engine default). Semantics-neutral: outputs are bit-identical across
-    /// backends, only wall-clock performance changes.
-    pub queue: Option<QueueKind>,
-    /// `--par-run N`: worker threads for the horizon-sharded single-run
-    /// engine (`None` keeps the serial default). Semantics-neutral: the
-    /// shard layout never depends on the thread count, so outputs are
-    /// bit-identical for every `N` — only wall-clock performance changes.
-    pub par_run: Option<u32>,
     /// `--tail-sample K`: arm the flight recorder, retaining the K slowest
     /// (plus all failed) traces per window. Passive — run outputs are
     /// bit-identical with or without it. Requires tracing to be enabled on
@@ -306,20 +290,6 @@ impl BenchArgs {
                     };
                     out.metrics = Some(MetricsSink::parse(&v)?);
                 }
-                "--queue" => match args.next().map(|v| v.parse::<QueueKind>()) {
-                    Some(Ok(kind)) => out.queue = Some(kind),
-                    Some(Err(e)) => return Err(e),
-                    None => return Err("--queue needs 'heap' or 'calendar'".into()),
-                },
-                "--par-run" => {
-                    let Some(v) = args.next() else {
-                        return Err("--par-run needs a thread count ≥ 1".into());
-                    };
-                    match v.trim().parse::<u32>() {
-                        Ok(n) if n >= 1 => out.par_run = Some(n),
-                        _ => return Err(format!("--par-run '{v}' must be a count ≥ 1")),
-                    }
-                }
                 "--tail-sample" => {
                     let Some(v) = args.next() else {
                         return Err("--tail-sample needs a per-window count K".into());
@@ -444,17 +414,6 @@ mod tests {
         assert!(ok.profile);
         assert_eq!(ok.rest, vec!["--bench".to_string()]);
         assert!(!parse(&["--quick"]).expect("parses").profile);
-        assert!(parse(&["--queue", "ladder"]).is_err());
-        assert!(parse(&["--queue"]).is_err());
-        assert_eq!(
-            parse(&["--queue", "calendar"]).expect("parses").queue,
-            Some(QueueKind::Calendar)
-        );
-        assert_eq!(parse(&["--quick"]).expect("parses").queue, None);
-        assert_eq!(parse(&["--par-run", "4"]).expect("parses").par_run, Some(4));
-        assert!(parse(&["--par-run", "0"]).is_err());
-        assert!(parse(&["--par-run"]).is_err());
-        assert_eq!(parse(&["--quick"]).expect("parses").par_run, None);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::ReportError;
 
 /// Schema version of the committed bench JSON. Bump on breaking changes so
 /// `compare` can refuse mismatched baselines instead of mis-reading them.
-/// Version 2 added per-shard load rows (`BenchEntry::shards`) for the
-/// horizon-sharded `--par-run` suite members.
+/// Version-2 reports written before the multi-worker suite members were
+/// removed also carry per-shard `shards` rows; readers ignore them.
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// The machine a report was measured on. Informational: comparisons never
@@ -65,25 +65,6 @@ pub struct BenchEntry {
     /// a process-wide high-water mark, so within one report it is
     /// monotone across entries in run order.
     pub peak_rss_bytes: Option<u64>,
-    /// Per-shard load rows of a `--par-run` member (empty for serial
-    /// members). Informational — comparisons grade only `events_per_sec` —
-    /// but committed so the parallel trajectory records *where* wall-clock
-    /// went: work inside rounds vs. stall at the round barriers.
-    pub shards: Vec<ShardEntry>,
-}
-
-/// One shard's load attribution within a parallel suite member.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardEntry {
-    /// Shard index (0 = front shard).
-    pub shard: u64,
-    /// Events the shard processed.
-    pub events: u64,
-    /// Fraction of the member's wall-clock the shard spent busy in rounds.
-    pub utilization: f64,
-    /// Fraction of the member's wall-clock the shard spent stalled at
-    /// round barriers (the horizon-stall share).
-    pub stall_share: f64,
 }
 
 /// Severity of one entry's comparison against the baseline.
@@ -211,22 +192,6 @@ impl BenchReport {
                                     "peak_rss_bytes",
                                     e.peak_rss_bytes.map_or(Json::Null, Json::UInt),
                                 ),
-                                (
-                                    "shards",
-                                    Json::Arr(
-                                        e.shards
-                                            .iter()
-                                            .map(|s| {
-                                                obj([
-                                                    ("shard", Json::UInt(s.shard)),
-                                                    ("events", Json::UInt(s.events)),
-                                                    ("utilization", Json::Num(s.utilization)),
-                                                    ("stall_share", Json::Num(s.stall_share)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
                             ])
                         })
                         .collect(),
@@ -285,26 +250,6 @@ impl BenchReport {
                         .and_then(Json::as_f64)
                         .ok_or_else(|| err("entry missing 'events_per_sec'"))?,
                     peak_rss_bytes: e.get("peak_rss_bytes").and_then(Json::as_u64),
-                    shards: e
-                        .get("shards")
-                        .and_then(Json::as_arr)
-                        .map(|rows| {
-                            rows.iter()
-                                .map(|s| ShardEntry {
-                                    shard: s.get("shard").and_then(Json::as_u64).unwrap_or(0),
-                                    events: s.get("events").and_then(Json::as_u64).unwrap_or(0),
-                                    utilization: s
-                                        .get("utilization")
-                                        .and_then(Json::as_f64)
-                                        .unwrap_or(0.0),
-                                    stall_share: s
-                                        .get("stall_share")
-                                        .and_then(Json::as_f64)
-                                        .unwrap_or(0.0),
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default(),
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -398,7 +343,6 @@ mod tests {
             wall_secs: 1_000_000.0 / eps,
             events_per_sec: eps,
             peak_rss_bytes: Some(64 << 20),
-            shards: Vec::new(),
         }
     }
 
@@ -413,32 +357,6 @@ mod tests {
         let r = report(vec![entry("fig2", 2.0e6), entry("stress", 1.5e6)]);
         let back = BenchReport::from_json(&r.to_json()).expect("parses");
         assert_eq!(back, r);
-    }
-
-    #[test]
-    fn shard_rows_round_trip() {
-        let mut e = entry("stress1m-par4", 1.0e6);
-        e.shards = vec![
-            ShardEntry {
-                shard: 0,
-                events: 800_000,
-                utilization: 0.9,
-                stall_share: 0.05,
-            },
-            ShardEntry {
-                shard: 1,
-                events: 200_000,
-                utilization: 0.3,
-                stall_share: 0.65,
-            },
-        ];
-        let r = report(vec![e]);
-        let back = BenchReport::from_json(&r.to_json()).expect("parses");
-        assert_eq!(back, r);
-        // Serial entries (no shard rows) keep an empty list through the trip.
-        let serial = report(vec![entry("stress1m", 1.0e6)]);
-        let back = BenchReport::from_json(&serial.to_json()).expect("parses");
-        assert!(back.entries[0].shards.is_empty());
     }
 
     #[test]

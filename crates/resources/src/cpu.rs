@@ -1,6 +1,6 @@
 //! Multi-core processor-sharing CPU with virtual time.
 //!
-//! ## Model
+//! ## The model
 //!
 //! With `n` active jobs on `m` cores, every job progresses at the common rate
 //! `min(1, m/n)` service-seconds per real second (egalitarian processor

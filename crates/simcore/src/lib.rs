@@ -6,12 +6,11 @@
 //!
 //! * [`SimTime`] — simulated time as integer microseconds (cheap, total-ordered,
 //!   no floating-point drift in the event queue).
-//! * [`Engine`] / [`EventQueue`] / [`Model`] — a classic event-list simulator:
-//!   the model is a plain `&mut` state machine, events are a user-defined enum,
-//!   and the engine pops events in `(time, insertion-order)` order. No `Rc`,
-//!   no `RefCell`, no dynamic dispatch on the hot path. The future-event list
-//!   is backend-pluggable ([`queue`]: binary heap or calendar queue, selected
-//!   by [`QueueKind`]) with provably identical pop order either way.
+//! * [`ShardedEngine`] / [`ShardModel`] / [`ShardIo`] — an event-list
+//!   executor: a model is one or more shards, each a plain `&mut` state
+//!   machine over a user-defined event enum, and the executor pops events in
+//!   global `(time, key)` order from per-shard calendar queues ([`queue`]).
+//!   No `Rc`, no `RefCell`, no dynamic dispatch on the hot path.
 //! * [`rng`] — deterministic, forkable random-number streams so that every
 //!   experiment is exactly reproducible and parallel parameter sweeps are
 //!   independent of scheduling order.
@@ -19,11 +18,12 @@
 //!   logarithmic histograms with quantiles, time-weighted integrals (for
 //!   utilization), and per-interval series (the "SysStat at one second
 //!   granularity" of the paper).
+//! * [`testkit`] — seeded randomized-test support and the binary-heap
+//!   oracle the event queue is tested against.
 //!
 //! The engine is deliberately minimal: all domain behaviour (CPUs, pools,
 //! servers, clients) lives in the crates layered on top.
 
-pub mod engine;
 pub mod profile;
 pub mod queue;
 pub mod rng;
@@ -32,11 +32,8 @@ pub mod stats;
 pub mod testkit;
 pub mod time;
 
-pub use engine::{Engine, EngineStats, Model, StepResult};
-pub use profile::{peak_rss_bytes, EngineProfile, ShardLoad};
-pub use queue::{
-    CalendarBackend, EventQueue, EventQueueBackend, HeapBackend, QueueKind, Scheduled,
-};
+pub use profile::{peak_rss_bytes, EngineProfile, EngineStats, ShardLoad};
+pub use queue::{CalendarBackend, Scheduled};
 pub use rng::RunRng;
 pub use shard::{shard_key, ShardIo, ShardModel, ShardedEngine, SHARD_KEY_BITS};
 pub use time::SimTime;

@@ -10,16 +10,45 @@
 //! collects, and a process-level peak-RSS reading.
 //!
 //! Everything is off by default
-//! ([`Engine::enable_profiling`](crate::Engine::enable_profiling) opts in), so
-//! the hot path of an unprofiled run pays one untaken branch per event.
+//! ([`ShardedEngine::enable_profiling`](crate::ShardedEngine::enable_profiling)
+//! opts in), so the hot path of an unprofiled run pays one untaken branch
+//! per event.
 
-use crate::engine::EngineStats;
+/// Telemetry snapshot of an engine run (see
+/// [`ShardedEngine::stats`](crate::ShardedEngine::stats)).
+#[derive(Debug, Clone, Default)]
+pub struct EngineStats {
+    /// Total events processed.
+    pub events_processed: u64,
+    /// Peak number of pending events in any one shard's queue (staged
+    /// arrivals included).
+    pub queue_high_water: usize,
+    /// Allocated capacity of the event queues at snapshot time.
+    pub queue_capacity: usize,
+    /// Wall-clock seconds spent inside `run_until`/`run_to_quiescence`.
+    pub wall_secs: f64,
+    /// Per-event-type counts (only populated with telemetry enabled; the
+    /// labels come from
+    /// [`ShardModel::event_label`](crate::ShardModel::event_label)).
+    pub per_type: Vec<(&'static str, u64)>,
+}
+
+impl EngineStats {
+    /// Events processed per wall-clock second (0 when nothing was timed).
+    pub fn events_per_sec(&self) -> f64 {
+        if self.wall_secs > 0.0 {
+            self.events_processed as f64 / self.wall_secs
+        } else {
+            0.0
+        }
+    }
+}
 
 /// Phase-timing and counter profile of one engine run.
 ///
-/// Captured with [`Engine::profile`](crate::Engine::profile) after a run
-/// with profiling enabled. Phase seconds (`pop_secs`, `dispatch_secs`,
-/// `sched_secs`) are whole-run *estimates*: the engine times a
+/// Captured with [`ShardedEngine::profile`](crate::ShardedEngine::profile)
+/// after a run with profiling enabled. Phase seconds (`pop_secs`,
+/// `dispatch_secs`, `sched_secs`) are whole-run *estimates*: the engine times a
 /// deterministic 1-in-64 sample of event cycles (clock reads on every
 /// cycle would dominate the loop) and scales the sampled sums by the
 /// sampling fraction. Sampled cycles include the cost of their own timing
@@ -33,55 +62,46 @@ pub struct EngineProfile {
     pub events_scheduled: u64,
     /// Wall-clock seconds spent popping the queue and advancing the clock.
     pub pop_secs: f64,
-    /// Wall-clock seconds spent inside `Model::handle` (this *includes* the
-    /// time the model spends scheduling follow-up events — `sched_secs` is
-    /// the measured sub-phase).
+    /// Wall-clock seconds spent inside `ShardModel::handle` (this *includes*
+    /// the time the model spends scheduling follow-up events — `sched_secs`
+    /// is the measured sub-phase).
     pub dispatch_secs: f64,
-    /// Wall-clock seconds spent pushing events onto the queue.
+    /// Wall-clock seconds spent pushing events onto the queues.
     pub sched_secs: f64,
     /// Wall-clock seconds spent inside `run_until`/`run_to_quiescence`.
     pub wall_secs: f64,
-    /// Peak number of pending events, whatever the queue backend (staged
+    /// Peak number of pending events in any one shard's queue (staged
     /// arrivals included).
     pub queue_high_water: usize,
-    /// Allocated capacity of the pending-event backend at snapshot time.
+    /// Allocated capacity of the event queues at snapshot time.
     pub queue_capacity: usize,
     /// Per-event-kind counts, in first-seen order (labels from
-    /// [`Model::event_label`](crate::Model::event_label)).
+    /// [`ShardModel::event_label`](crate::ShardModel::event_label)).
     pub per_type: Vec<(&'static str, u64)>,
     /// Process peak resident set size in bytes (`VmHWM` from
     /// `/proc/self/status` on Linux; `None` where no probe exists). Note the
     /// kernel counter is a high-water mark for the whole process, so in a
     /// multi-run process it is cumulative across runs.
     pub peak_rss_bytes: Option<u64>,
-    /// Barrier rounds executed by a sharded run (0 for the serial engine).
+    /// Synchronization rounds executed. Always 0: the executor has none.
+    /// The field stays because existing readers of the profile report it.
     pub rounds: u64,
-    /// Per-shard load attribution of a sharded run (empty for the serial
-    /// engine): events, wall-clock busy seconds inside rounds, and
-    /// wall-clock seconds stalled at round barriers.
+    /// Per-shard load attribution: events and busy seconds per shard.
     pub shards: Vec<ShardLoad>,
 }
 
-/// One shard's share of a sharded run: how much it worked and how long it
-/// waited for the other shards at the round barriers. `stall / wall` is the
-/// *horizon-stall share* — the headline diagnostic for a parallel point that
-/// failed to speed up (short lookahead ⇒ many rounds ⇒ mostly stall).
-/// A parallel run times every round; the one-worker round loop estimates
-/// busy seconds from a deterministic 1-in-16 round sample (scaled back up),
-/// like the engine's pop/dispatch phase timings. On a host with fewer cores
-/// than workers the clocks include involuntary preemption, so read the
-/// figures as scheduler-level attribution, not pure simulation cost.
+/// One shard's share of a run: how many events it processed and how long
+/// the executor spent popping and dispatching them, so `busy / wall` is the
+/// shard's share of the event loop. Busy seconds are estimated from the same
+/// deterministic 1-in-64 event sample as the phase timings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardLoad {
     /// Shard index (shard 0 is the layout's front shard by convention).
     pub shard: usize,
     /// Events this shard processed.
     pub events_processed: u64,
-    /// Wall-clock seconds spent processing rounds on this shard.
+    /// Wall-clock seconds spent popping and dispatching this shard's events.
     pub busy_secs: f64,
-    /// Wall-clock seconds this shard's worker spent waiting at barriers
-    /// (attributed evenly when one worker owns several shards).
-    pub stall_secs: f64,
 }
 
 impl ShardLoad {
@@ -89,15 +109,6 @@ impl ShardLoad {
     pub fn utilization(&self, wall_secs: f64) -> f64 {
         if wall_secs > 0.0 {
             self.busy_secs / wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of `wall_secs` this shard spent stalled at barriers.
-    pub fn stall_share(&self, wall_secs: f64) -> f64 {
-        if wall_secs > 0.0 {
-            self.stall_secs / wall_secs
         } else {
             0.0
         }
@@ -163,18 +174,13 @@ impl EngineProfile {
             None => s.push_str("  peak rss        (no probe on this platform)\n"),
         }
         if !self.shards.is_empty() {
-            s.push_str(&format!(
-                "  rounds     {:>12}   across {} shards\n",
-                self.rounds,
-                self.shards.len()
-            ));
+            s.push_str(&format!("  shards     {:>12}\n", self.shards.len()));
             for sh in &self.shards {
                 s.push_str(&format!(
-                    "    shard {}  {:>12} events  util {:>5.1}%  stall {:>5.1}%\n",
+                    "    shard {}  {:>12} events  busy {:>5.1}%\n",
                     sh.shard,
                     sh.events_processed,
                     100.0 * sh.utilization(self.wall_secs),
-                    100.0 * sh.stall_share(self.wall_secs),
                 ));
             }
         }
@@ -285,36 +291,31 @@ mod tests {
         assert!(s.contains("2.0 MiB"));
         // Largest count listed first.
         assert!(s.find("ping").unwrap() < s.find("pong").unwrap());
-        // A serial profile renders no shard table.
+        // A profile without shard rows renders no shard table.
         assert!(!s.contains("shard"));
 
-        // A sharded profile adds the per-shard load rows.
+        // Shard rows add the per-shard load table.
         let p = EngineProfile {
             wall_secs: 2.0,
-            rounds: 42,
             shards: vec![
                 ShardLoad {
                     shard: 0,
                     events_processed: 900,
                     busy_secs: 1.5,
-                    stall_secs: 0.1,
                 },
                 ShardLoad {
                     shard: 1,
                     events_processed: 100,
                     busy_secs: 0.2,
-                    stall_secs: 1.4,
                 },
             ],
             ..Default::default()
         };
         let s = p.summary();
-        assert!(s.contains("rounds"));
-        assert!(s.contains("across 2 shards"));
         assert!(s.contains("shard 0"));
-        // shard 0: busy 1.5 of wall 2.0 ⇒ 75% utilization.
-        assert!(s.contains("util  75.0%"));
-        // shard 1: stalled 1.4 of wall 2.0 ⇒ 70% stall share.
-        assert!(s.contains("stall  70.0%"));
+        assert!(s.contains("shard 1"));
+        // shard 0: busy 1.5 of wall 2.0 ⇒ 75% of the event loop.
+        assert!(s.contains("busy  75.0%"));
+        assert!(s.contains("busy  10.0%"));
     }
 }

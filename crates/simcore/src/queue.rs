@@ -1,106 +1,47 @@
-//! Pluggable future-event-list backends and the staged-arrivals lane.
+//! The future-event list: a calendar queue plus the staged-arrivals lane.
 //!
-//! The engine's pending-event set is a strict total order on `(time,
-//! insertion-seq)`: earlier times first, FIFO among events scheduled for the
-//! same instant. *Which data structure maintains that order is a pure
-//! performance choice* — every backend must pop the exact same sequence, so
-//! swapping backends can never change simulation output. That invariant is
-//! what lets the backend be selected per run (`--queue heap|calendar`)
-//! without invalidating golden digests or content-addressed artifact stores.
+//! Each shard's pending-event set is a strict total order on `(time, key)`:
+//! earlier times first, and among events at one instant the smaller key
+//! first. Keys are drawn from the scheduling shard's own counter (see
+//! [`crate::shard`]), so on a one-shard model same-instant events pop FIFO in
+//! scheduling order.
 //!
-//! Two backends ship today:
-//!
-//! * [`HeapBackend`] — the classic binary heap: `O(log n)` push/pop,
-//!   excellent constants, no tuning. The default.
-//! * [`CalendarBackend`] — a calendar queue (Brown 1988): events hash into
-//!   time buckets ("days") of width `2^shift` µs; pops scan forward from the
-//!   current day. Push and pop are amortized `O(1)` when the bucket width
-//!   tracks the event-time spread, which the backend re-tunes on resize.
-//!
-//! # Adding a backend
-//!
-//! Implement [`EventQueueBackend`] for the new structure, add a variant to
-//! [`QueueKind`] and to the private dispatch enum inside [`EventQueue`], and
-//! extend the differential property tests in this module (and
-//! `tests/queue_backends.rs` at the workspace root) so the new backend is
-//! proven against the heap on randomized schedules, ties included. Dispatch
-//! is a two-armed `match` on a concrete enum rather than `dyn` — the pop/push
-//! pair runs hundreds of millions of times per run, and a vtable call per
-//! event is measurable where a predictable branch is not.
+//! [`CalendarBackend`] maintains that order: a calendar queue (Brown 1988)
+//! whose events hash into time buckets ("days") of width `2^shift` µs; pops
+//! scan forward from the current day. Push and pop are amortized `O(1)`
+//! when the bucket width tracks the event-time spread, which the backend
+//! re-tunes on resize. It is the only production backend. The binary heap
+//! [`crate::testkit::HeapBackend`] is the differential oracle: the tests
+//! below (and the workspace-level `queue_backends` suite) prove that the
+//! calendar pops the exact sequence the heap does, ties included.
 //!
 //! # The staged-arrivals lane
 //!
 //! Closed-loop runs seed one arrival event per session before the run starts
-//! — at 1M users that is a million heap pushes (and a million live heap
-//! slots) before the first event fires. [`EventQueue::stage`] instead
-//! appends pre-run events to a plain vector with their insertion seq
-//! reserved as usual; the vector is sorted once by `(time, seq)` on the
-//! first pop and merged lazily with the backend at pop time (pop = min of
-//! the two fronts). Because the merge respects the same total order and the
-//! seqs are the ones the events would have had anyway, the pop sequence —
-//! and therefore every digest — is bit-identical to pushing everything up
-//! front, while the backend only ever holds the steady-state working set.
+//! — at 1M users that is a million pushes (and a million live calendar
+//! slots) before the first event fires.
+//! [`ShardedEngine::stage`](crate::ShardedEngine::stage) instead
+//! appends pre-run events to a plain vector under the keys they would have
+//! had anyway; the vector is sorted once by `(time, key)` when the executor
+//! primes its queues, before its timed loop starts, and merged lazily with
+//! the backend at pop time (pop = min of the two fronts). Because the merge
+//! respects the same total order, the pop sequence — and therefore every
+//! digest — is bit-identical to pushing everything up front, while the
+//! backend only ever holds the steady-state working set.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-use std::str::FromStr;
-
-/// Which future-event-list backend an engine run uses.
-///
-/// Purely an execution/performance knob: both backends produce bit-identical
-/// pop order (proven by differential tests and per-backend golden digests),
-/// so this deliberately does **not** participate in experiment content
-/// addressing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// Binary-heap future event list: `O(log n)`, no tuning.
-    Heap,
-    /// Calendar queue: bucketed by time, amortized `O(1)` push/pop when
-    /// bucket width matches the event-time spread (self-tuned on resize).
-    /// The default: measured fastest at every point of the perf suite,
-    /// from 0.4M-event table runs to the 1M-session stress point (see
-    /// `DESIGN.md` §12 for the crossover measurement).
-    #[default]
-    Calendar,
-}
-
-impl QueueKind {
-    /// All backends, for "run the suite once per backend" loops.
-    pub const ALL: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-}
-
-impl FromStr for QueueKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" => Ok(QueueKind::Heap),
-            "calendar" => Ok(QueueKind::Calendar),
-            other => Err(format!(
-                "unknown queue backend '{other}' (expected 'heap' or 'calendar')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueueKind::Heap => write!(f, "heap"),
-            QueueKind::Calendar => write!(f, "calendar"),
-        }
-    }
-}
+use std::cmp::{Ordering, Reverse};
+use std::collections::VecDeque;
 
 /// One pending event: the payload plus its total-order key `(at, seq)`.
 ///
-/// `seq` is the queue-wide insertion sequence; it breaks same-time ties so
-/// delivery at one instant is FIFO in scheduling order.
+/// `seq` is the event key assigned by the scheduling shard; it breaks
+/// same-time ties deterministically.
 #[derive(Debug)]
 pub struct Scheduled<E> {
     /// Absolute delivery time.
     pub at: SimTime,
-    /// Queue-wide insertion sequence (same-time tie-break).
+    /// Event key (same-time tie-break).
     pub seq: u64,
     /// The event payload.
     pub event: E,
@@ -132,82 +73,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A future-event-list backend: maintains pending [`Scheduled`] events and
-/// yields them in strictly ascending `(at, seq)` order.
-///
-/// The contract every implementation must honor (and the differential tests
-/// enforce): `pop_min` returns the pending event with the smallest key;
-/// `min_key`/`peek_min` report that key without removing it. Internal layout
-/// (heap shape, bucket widths, resize timing) must never influence the pop
-/// order, only its cost.
-pub trait EventQueueBackend<E> {
-    /// Insert one pending event.
-    fn push(&mut self, item: Scheduled<E>);
-    /// Key of the minimum pending event; may memoize the located position so
-    /// an immediately following [`pop_min`](Self::pop_min) is `O(1)`.
-    fn min_key(&mut self) -> Option<(SimTime, u64)>;
-    /// Key of the minimum pending event without any memoization (`&self`).
-    fn peek_min(&self) -> Option<(SimTime, u64)>;
-    /// Remove and return the minimum pending event.
-    fn pop_min(&mut self) -> Option<Scheduled<E>>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Allocated capacity (best effort; for telemetry).
-    fn capacity(&self) -> usize;
-    /// Pre-size for at least `additional` more events (may be a no-op for
-    /// backends that size themselves).
-    fn reserve(&mut self, additional: usize);
-}
-
-/// Binary-heap backend: `std::collections::BinaryHeap` over
-/// [`Reverse`](std::cmp::Reverse)d entries so the max-heap pops the minimum.
-#[derive(Debug)]
-pub struct HeapBackend<E> {
-    heap: BinaryHeap<std::cmp::Reverse<Scheduled<E>>>,
-}
-
-impl<E> HeapBackend<E> {
-    /// Create with room for `capacity` pending events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapBackend {
-            heap: BinaryHeap::with_capacity(capacity),
-        }
-    }
-}
-
-impl<E> EventQueueBackend<E> for HeapBackend<E> {
-    #[inline]
-    fn push(&mut self, item: Scheduled<E>) {
-        self.heap.push(std::cmp::Reverse(item));
-    }
-    #[inline]
-    fn min_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|r| r.0.key())
-    }
-    #[inline]
-    fn peek_min(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|r| r.0.key())
-    }
-    #[inline]
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop().map(|r| r.0)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-    fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-    fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-}
-
 /// Smallest bucket-array size the calendar queue will shrink to.
 const MIN_BUCKETS: usize = 64;
 /// Largest bucket-array size (bounds the empty-bucket memory overhead; past
@@ -220,6 +85,8 @@ const DEFAULT_SHIFT: u32 = 12;
 /// Bucket-width exponent ceiling (`2^40` µs ≈ 13 days of sim time per
 /// bucket — effectively "one bucket for everything").
 const MAX_SHIFT: u32 = 40;
+/// Initial bucket count of every shard's calendar.
+const INITIAL_BUCKETS: usize = 1024;
 
 /// Calendar-queue backend (Brown 1988).
 ///
@@ -235,8 +102,8 @@ const MAX_SHIFT: u32 = 40;
 /// Determinism: pop order is decided *only* by `(at, seq)` comparisons —
 /// bucket count, width, and resize timing affect where events sit, never
 /// which one is the minimum — so the calendar queue pops the exact sequence
-/// the heap does. (The invariant that makes the day-scan sound: every
-/// pending event's day is ≥ `cur_day`, because the engine never schedules
+/// the heap oracle does. (The invariant that makes the day-scan sound: every
+/// pending event's day is ≥ `cur_day`, because the executor never schedules
 /// before `now` and `cur_day` only tracks popped minima.)
 #[derive(Debug)]
 pub struct CalendarBackend<E> {
@@ -342,10 +209,9 @@ impl<E> CalendarBackend<E> {
             self.insert_item(item);
         }
     }
-}
 
-impl<E> EventQueueBackend<E> for CalendarBackend<E> {
-    fn push(&mut self, item: Scheduled<E>) {
+    /// Insert one pending event.
+    pub fn push(&mut self, item: Scheduled<E>) {
         if self.len + 1 > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
             self.rebuild(self.len + 1);
         }
@@ -362,7 +228,9 @@ impl<E> EventQueueBackend<E> for CalendarBackend<E> {
         self.len += 1;
     }
 
-    fn min_key(&mut self) -> Option<(SimTime, u64)> {
+    /// Key of the minimum pending event, memoizing its location so an
+    /// immediately following [`pop_min`](Self::pop_min) is `O(1)`.
+    pub fn min_key(&mut self) -> Option<(SimTime, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -374,18 +242,8 @@ impl<E> EventQueueBackend<E> for CalendarBackend<E> {
         Some((found.1, found.2))
     }
 
-    fn peek_min(&self) -> Option<(SimTime, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some((_, at, seq)) = self.cached_min {
-            return Some((at, seq));
-        }
-        let (_, at, seq) = self.locate_min();
-        Some((at, seq))
-    }
-
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
+    /// Remove and return the minimum pending event.
+    pub fn pop_min(&mut self) -> Option<Scheduled<E>> {
         if self.len == 0 {
             return None;
         }
@@ -405,116 +263,45 @@ impl<E> EventQueueBackend<E> for CalendarBackend<E> {
         Some(item)
     }
 
+    /// Number of pending events.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn capacity(&self) -> usize {
+    /// Whether no events are pending.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Allocated capacity across all buckets (for telemetry).
+    pub fn capacity(&self) -> usize {
         self.buckets.iter().map(|b| b.capacity()).sum::<usize>()
-    }
-
-    fn reserve(&mut self, _additional: usize) {
-        // The bucket array resizes itself from occupancy; per-bucket
-        // reservations would only pin memory without helping pop cost.
-    }
-}
-
-/// Backend dispatch. A concrete enum instead of `dyn EventQueueBackend` so
-/// the per-event push/pop stays a predictable branch, not a vtable call.
-#[derive(Debug)]
-pub(crate) enum BackendImpl<E> {
-    Heap(HeapBackend<E>),
-    Calendar(CalendarBackend<E>),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $b:ident => $body:expr) => {
-        match $self {
-            BackendImpl::Heap($b) => $body,
-            BackendImpl::Calendar($b) => $body,
-        }
-    };
-}
-
-impl<E> EventQueueBackend<E> for BackendImpl<E> {
-    #[inline]
-    fn push(&mut self, item: Scheduled<E>) {
-        dispatch!(self, b => b.push(item))
-    }
-    #[inline]
-    fn min_key(&mut self) -> Option<(SimTime, u64)> {
-        dispatch!(self, b => b.min_key())
-    }
-    #[inline]
-    fn peek_min(&self) -> Option<(SimTime, u64)> {
-        dispatch!(self, b => b.peek_min())
-    }
-    #[inline]
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        dispatch!(self, b => b.pop_min())
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        dispatch!(self, b => b.len())
-    }
-    fn capacity(&self) -> usize {
-        dispatch!(self, b => b.capacity())
-    }
-    fn reserve(&mut self, additional: usize) {
-        dispatch!(self, b => b.reserve(additional))
-    }
-}
-
-impl<E> BackendImpl<E> {
-    pub(crate) fn new(kind: QueueKind, capacity: usize) -> Self {
-        match kind {
-            QueueKind::Heap => BackendImpl::Heap(HeapBackend::with_capacity(capacity)),
-            QueueKind::Calendar => BackendImpl::Calendar(CalendarBackend::with_capacity(capacity)),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> QueueKind {
-        match self {
-            BackendImpl::Heap(_) => QueueKind::Heap,
-            BackendImpl::Calendar(_) => QueueKind::Calendar,
-        }
     }
 }
 
 /// Phase timing samples one push in this many when profiling (see the
-/// matching event-cycle sample in the engine): reading a monotonic clock
+/// matching event-cycle sample in the executor): reading a monotonic clock
 /// several times per event costs more than dispatching most events, so
 /// timing every cycle would roughly double the event loop's cost. The
 /// sample is keyed on event/schedule indices — no randomness — so profiling
 /// stays bit-identical and repeatable.
 pub(crate) const PROFILE_SAMPLE_MASK: u64 = 63;
 
-/// Outcome of one [`EventQueue::pop_at_most`] attempt.
-pub(crate) enum PopNext<E> {
-    /// Nothing pending anywhere (backend and staged lane both empty).
-    Empty,
-    /// The earliest pending event lies beyond the horizon.
-    Beyond,
-    /// The popped minimum; the queue clock has advanced to its time.
-    Event(Scheduled<E>),
-}
-
-/// The pending-event set, exposed to models for scheduling.
-///
-/// Internally a pluggable [`EventQueueBackend`] (selected by [`QueueKind`])
-/// plus the staged-arrivals lane (see module docs); externally the same
-/// strict `(time, insertion-seq)` total order regardless of backend.
-pub struct EventQueue<E> {
-    backend: BackendImpl<E>,
-    /// Pre-run staged events; sorted *descending* by key on first pop so the
-    /// current front is `last()` and consuming it is a by-value `pop()`.
+/// One shard's pending-event set: the calendar backend plus the
+/// staged-arrivals lane (see module docs), in one strict `(time, key)`
+/// total order. Keys are assigned by the executor.
+pub(crate) struct EventQueue<E> {
+    backend: CalendarBackend<E>,
+    /// Pre-run staged events; sorted *descending* by key when the run
+    /// starts, so the current front is `last()` and consuming it is a
+    /// by-value `pop()`.
     staged: Vec<Scheduled<E>>,
-    staged_sorted: bool,
-    /// Set on the first pop; staging afterwards is a contract violation.
+    /// Set when the staged lane is sorted; staging afterwards is a contract
+    /// violation.
     started: bool,
     now: SimTime,
-    seq: u64,
     high_water: usize,
     timed: bool,
     sched_secs: f64,
@@ -522,16 +309,12 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create a queue with the given backend, pre-sized for `capacity`
-    /// pending events.
-    pub fn new_with(kind: QueueKind, capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
-            backend: BackendImpl::new(kind, capacity),
+            backend: CalendarBackend::with_capacity(INITIAL_BUCKETS),
             staged: Vec::new(),
-            staged_sorted: true,
             started: false,
             now: SimTime::ZERO,
-            seq: 0,
             high_water: 0,
             timed: false,
             sched_secs: 0.0,
@@ -539,98 +322,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Which backend this queue runs on.
-    #[inline]
-    pub fn kind(&self) -> QueueKind {
-        self.backend.kind()
-    }
-
-    /// Push onto the backend, maintaining the insertion sequence and
-    /// high-water mark. Timing (when profiling is on) wraps exactly this
-    /// operation on a deterministic 1-in-64 sample of pushes, so
-    /// `sched_secs` holds sampled push seconds (the engine's `profile()`
-    /// scales them to an estimate).
-    #[inline]
-    fn push_at(&mut self, at: SimTime, event: E) {
-        let item = Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        };
-        if self.timed && self.seq & PROFILE_SAMPLE_MASK == 0 {
-            let t0 = std::time::Instant::now();
-            self.backend.push(item);
-            self.sched_secs += t0.elapsed().as_secs_f64();
-            self.timed_pushes += 1;
-        } else {
-            self.backend.push(item);
-        }
-        self.seq += 1;
-        self.high_water = self.high_water.max(self.len());
-    }
-
-    /// Reserve room for at least `additional` more pending events.
-    ///
-    /// Pre-sizing is purely an allocation hint: backend layout never affects
-    /// pop order (the schedule is a strict total order on `(time, seq)`), so
-    /// this cannot change simulation results.
-    pub fn reserve(&mut self, additional: usize) {
-        self.backend.reserve(additional);
-    }
-
-    /// Current allocated capacity of the pending-event backend.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.backend.capacity()
-    }
-
-    /// Current simulated time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at`.
+    /// Push `event` at `at` under key `key`. Timing (when profiling is on)
+    /// wraps exactly the backend push on a deterministic 1-in-64 sample of
+    /// keys, so `sched_secs` holds sampled push seconds (the executor's
+    /// `profile()` scales them to an estimate).
     ///
     /// # Panics
     /// If `at` is before the current time.
     #[inline]
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at} now={}",
-            self.now
-        );
-        self.push_at(at, event);
-    }
-
-    /// Schedule `event` after a delay relative to now.
-    #[inline]
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.push_at(self.now + delay, event);
-    }
-
-    /// Schedule `event` to run at the current instant, after all events already
-    /// queued for this instant (a "call me back immediately" idiom).
-    #[inline]
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_after(SimTime::ZERO, event);
-    }
-
-    /// Push `event` at `at` under an externally assigned sequence key.
-    ///
-    /// This is the sharded engine's entry point: each shard owns a key
-    /// counter (tagged with its shard id in the high bits) so that events
-    /// arriving from several shards merge in one strict `(time, key)` total
-    /// order that is independent of thread scheduling. The queue's own
-    /// insertion counter is left untouched; a queue must be driven either
-    /// entirely through [`schedule`](Self::schedule) or entirely through the
-    /// keyed API — mixing the two would interleave two key spaces.
-    ///
-    /// # Panics
-    /// If `at` is before the current time.
-    #[inline]
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
+    pub(crate) fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
@@ -652,13 +352,11 @@ impl<E> EventQueue<E> {
         self.high_water = self.high_water.max(self.len());
     }
 
-    /// Stage a pre-run event under an externally assigned key (the keyed
-    /// analogue of [`stage`](Self::stage); see [`push_keyed`](Self::push_keyed)
-    /// for the key contract).
+    /// Stage a pre-run event into the arrivals lane (see module docs).
     ///
     /// # Panics
-    /// If called after the first pop, or with `at` in the past.
-    pub fn stage_keyed(&mut self, at: SimTime, key: u64, event: E) {
+    /// If called after the run started, or with `at` in the past.
+    pub(crate) fn stage_keyed(&mut self, at: SimTime, key: u64, event: E) {
         assert!(
             !self.started,
             "stage_keyed() is for pre-run seeding; the run has already started"
@@ -673,112 +371,56 @@ impl<E> EventQueue<E> {
             seq: key,
             event,
         });
-        self.staged_sorted = false;
-        self.high_water = self.high_water.max(self.len());
-    }
-
-    /// Stage a pre-run event into the arrivals lane (see module docs).
-    ///
-    /// The event gets the same insertion seq a [`schedule`](Self::schedule)
-    /// call would have assigned, so the merged pop order — and every digest —
-    /// is bit-identical to pushing it, but the backend never holds it.
-    /// Intended for bulk arrival seeding: at 1M sessions this keeps a
-    /// million pre-run events out of the backend entirely.
-    ///
-    /// # Panics
-    /// If called after the first pop, or with `at` in the past.
-    pub fn stage(&mut self, at: SimTime, event: E) {
-        assert!(
-            !self.started,
-            "stage() is for pre-run seeding; the run has already started"
-        );
-        assert!(
-            at >= self.now,
-            "cannot stage into the past: at={at} now={}",
-            self.now
-        );
-        self.staged.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-        self.staged_sorted = false;
         self.high_water = self.high_water.max(self.len());
     }
 
     /// Number of pending events (backend + staged lane).
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.backend.len() + self.staged.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Timestamp of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let staged_key = if self.staged_sorted {
-            self.staged.last().map(Scheduled::key)
-        } else {
-            self.staged.iter().map(Scheduled::key).min()
-        };
-        match (staged_key, self.backend.peek_min()) {
-            (None, b) => b.map(|(at, _)| at),
-            (s, None) => s.map(|(at, _)| at),
-            (Some(s), Some(b)) => Some(s.min(b).0),
-        }
     }
 
     /// Largest number of events ever pending at once.
     #[inline]
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
-    /// Total events ever pushed onto this queue (the insertion sequence).
+    /// Allocated capacity of the calendar backend.
     #[inline]
-    pub fn scheduled(&self) -> u64 {
-        self.seq
+    pub(crate) fn capacity(&self) -> usize {
+        self.backend.capacity()
     }
 
-    /// Pop the globally minimum pending event if it is at or before
-    /// `horizon`, advancing the queue clock to its time.
-    pub(crate) fn pop_at_most(&mut self, horizon: SimTime) -> PopNext<E> {
-        if !self.staged_sorted {
-            // One deferred sort instead of n backend pushes; descending so
-            // the front is `last()`.
-            self.staged.sort_by_key(|s| std::cmp::Reverse(s.key()));
-            self.staged_sorted = true;
+    /// Key of the minimum pending event. The first call sorts the staged
+    /// lane (one deferred sort instead of n backend pushes) and closes it
+    /// to further staging; the executor makes that call while priming its
+    /// queues, before the timed loop.
+    #[inline]
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        if !self.started {
+            self.staged.sort_by_key(|s| Reverse(s.key()));
+            self.started = true;
         }
-        self.started = true;
-        let staged_key = self.staged.last().map(Scheduled::key);
-        let from_staged = match (staged_key, self.backend.min_key()) {
-            (None, None) => return PopNext::Empty,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(s), Some(b)) => s < b,
-        };
-        let key = if from_staged {
-            staged_key.expect("staged front vanished")
-        } else {
-            self.backend.min_key().expect("backend min vanished")
-        };
-        if key.0 > horizon {
-            return PopNext::Beyond;
+        let staged = self.staged.last().map(Scheduled::key);
+        match (staged, self.backend.min_key()) {
+            (Some(s), Some(b)) => Some(s.min(b)),
+            (s, b) => s.or(b),
         }
-        let item = if from_staged {
-            self.staged.pop().expect("staged front vanished")
+    }
+
+    /// Remove the minimum pending event, advancing the clock to its time.
+    pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
+        let key = self.peek_key()?;
+        let item = if self.staged.last().is_some_and(|s| s.key() == key) {
+            self.staged.pop()
         } else {
-            self.backend.pop_min().expect("backend min vanished")
-        };
+            self.backend.pop_min()
+        }
+        .expect("peeked minimum vanished");
         debug_assert!(item.at >= self.now, "event queue time went backwards");
         self.now = item.at;
-        PopNext::Event(item)
+        Some(item)
     }
 
     /// Advance the clock to `t` if it is ahead (horizon handling).
@@ -804,7 +446,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{check, Gen};
+    use crate::testkit::{check, Gen, HeapBackend};
 
     fn sched(at_us: u64, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -814,12 +456,13 @@ mod tests {
         }
     }
 
-    /// Drive both backends through an identical randomized push/pop script
-    /// and assert identical pop sequences, ties included.
+    /// Drive the calendar and the heap oracle through an identical
+    /// randomized push/pop script and assert identical pop sequences, ties
+    /// included.
     #[test]
-    fn backends_pop_identically_on_randomized_schedules() {
+    fn calendar_pops_like_the_heap_oracle_on_randomized_schedules() {
         check(200, |g: &mut Gen| {
-            let mut heap = HeapBackend::with_capacity(8);
+            let mut heap = HeapBackend::default();
             let mut cal = CalendarBackend::with_capacity(8);
             let mut seq = 0u64;
             let mut floor = 0u64; // pops only move time forward
@@ -855,7 +498,6 @@ mod tests {
                     }
                 } else {
                     assert_eq!(heap.min_key(), cal.min_key());
-                    assert_eq!(heap.peek_min(), cal.peek_min());
                     let a = heap.pop_min().map(|s| (s.at, s.seq, s.event));
                     let b = cal.pop_min().map(|s| (s.at, s.seq, s.event));
                     assert_eq!(a, b);
@@ -873,8 +515,8 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(heap.len(), 0);
-            assert_eq!(cal.len(), 0);
+            assert!(heap.is_empty());
+            assert!(cal.is_empty());
         });
     }
 
@@ -886,7 +528,7 @@ mod tests {
     /// start, and the year-scan returned a later event first.
     #[test]
     fn pushes_behind_a_regrown_calendar_year_still_pop_first() {
-        let mut heap = HeapBackend::with_capacity(8);
+        let mut heap = HeapBackend::default();
         let mut cal = CalendarBackend::with_capacity(8);
         let mut seq = 0u64;
         let mut push = |h: &mut HeapBackend<u64>, c: &mut CalendarBackend<u64>, at: u64| {
@@ -906,9 +548,9 @@ mod tests {
             push(&mut heap, &mut cal, 10_000_000 + i);
         }
         // A later push at 32.7 ms — ≥ now, far below every pending event —
-        // must still pop first on both backends.
+        // must still pop first on both.
         push(&mut heap, &mut cal, 32_699);
-        assert_eq!(cal.peek_min(), Some((SimTime::from_micros(32_699), 301)));
+        assert_eq!(cal.min_key(), Some((SimTime::from_micros(32_699), 301)));
         loop {
             let a = heap.pop_min().map(|s| s.key());
             let b = cal.pop_min().map(|s| s.key());
@@ -962,87 +604,62 @@ mod tests {
     }
 
     /// The staged lane is indistinguishable from upfront pushes: same pop
-    /// sequence, same seqs, same counters — on both backends, with follow-up
-    /// events scheduled mid-run to interleave with still-staged arrivals.
+    /// sequence, same keys, same high-water mark — with follow-up events
+    /// pushed mid-run to interleave with still-staged arrivals.
     #[test]
     fn staged_lane_matches_upfront_pushes_exactly() {
         check(100, |g: &mut Gen| {
-            for kind in QueueKind::ALL {
-                let mut staged = EventQueue::new_with(kind, 8);
-                let mut pushed = EventQueue::new_with(kind, 8);
-                let n = g.usize_in(1, 60);
-                let arrivals: Vec<u64> = (0..n)
-                    .map(|_| {
-                        if g.chance(0.2) {
-                            500
-                        } else {
-                            g.u64_in(0, 10_000)
-                        }
-                    })
-                    .collect();
-                for &at in &arrivals {
-                    staged.stage(SimTime::from_micros(at), at);
-                    pushed.schedule(SimTime::from_micros(at), at);
-                }
-                let mut chain = g.usize_in(0, 20);
-                loop {
-                    let a = match staged.pop_at_most(SimTime::MAX) {
-                        PopNext::Event(s) => Some((s.at, s.seq, s.event)),
-                        _ => None,
-                    };
-                    let b = match pushed.pop_at_most(SimTime::MAX) {
-                        PopNext::Event(s) => Some((s.at, s.seq, s.event)),
-                        _ => None,
-                    };
-                    assert_eq!(a, b, "backend {kind} diverged (seed {})", g.seed());
-                    let Some((at, _, _)) = a else { break };
-                    // Mid-run follow-ups land among still-staged arrivals.
-                    if chain > 0 {
-                        chain -= 1;
-                        let delta = SimTime::from_micros(g.u64_in(0, 3_000));
-                        staged.schedule_after(delta, at.as_micros() + 1);
-                        pushed.schedule_after(delta, at.as_micros() + 1);
-                    }
-                }
-                assert_eq!(staged.scheduled(), pushed.scheduled());
-                assert_eq!(staged.high_water(), pushed.high_water());
-                assert!(staged.is_empty() && pushed.is_empty());
+            let mut staged = EventQueue::new();
+            let mut pushed = EventQueue::new();
+            let n = g.usize_in(1, 60);
+            let mut key = 0u64;
+            for _ in 0..n {
+                let at = if g.chance(0.2) {
+                    500
+                } else {
+                    g.u64_in(0, 10_000)
+                };
+                staged.stage_keyed(SimTime::from_micros(at), key, at);
+                pushed.push_keyed(SimTime::from_micros(at), key, at);
+                key += 1;
             }
+            let mut chain = g.usize_in(0, 20);
+            loop {
+                let a = staged.pop().map(|s| (s.at, s.seq, s.event));
+                let b = pushed.pop().map(|s| (s.at, s.seq, s.event));
+                assert_eq!(a, b, "staged lane diverged (seed {})", g.seed());
+                let Some((at, _, _)) = a else { break };
+                // Mid-run follow-ups land among still-staged arrivals.
+                if chain > 0 {
+                    chain -= 1;
+                    let follow = at + SimTime::from_micros(g.u64_in(0, 3_000));
+                    staged.push_keyed(follow, key, at.as_micros() + 1);
+                    pushed.push_keyed(follow, key, at.as_micros() + 1);
+                    key += 1;
+                }
+            }
+            assert_eq!(staged.high_water(), pushed.high_water());
+            assert_eq!(staged.len() + pushed.len(), 0);
         });
     }
 
     #[test]
     #[should_panic(expected = "run has already started")]
     fn staging_after_the_first_pop_panics() {
-        let mut q = EventQueue::new_with(QueueKind::Heap, 4);
-        q.schedule(SimTime::from_micros(1), 1u64);
-        let _ = q.pop_at_most(SimTime::MAX);
-        q.stage(SimTime::from_micros(2), 2u64);
+        let mut q = EventQueue::new();
+        q.push_keyed(SimTime::from_micros(1), 0, 1u64);
+        let _ = q.pop();
+        q.stage_keyed(SimTime::from_micros(2), 1, 2u64);
     }
 
     #[test]
-    fn peek_time_sees_staged_and_backend_events() {
-        let mut q = EventQueue::new_with(QueueKind::Calendar, 4);
-        assert_eq!(q.peek_time(), None);
-        q.schedule(SimTime::from_micros(9), 0u64);
-        q.stage(SimTime::from_micros(4), 1u64);
-        // Staged lane not yet sorted; peek must still find the true minimum.
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(4)));
+    fn peek_key_sees_staged_and_backend_events() {
+        let mut q = EventQueue::new();
+        q.push_keyed(SimTime::from_micros(9), 0, 0u64);
+        q.stage_keyed(SimTime::from_micros(4), 1, 1u64);
         assert_eq!(q.len(), 2);
-        match q.pop_at_most(SimTime::MAX) {
-            PopNext::Event(s) => assert_eq!(s.at, SimTime::from_micros(4)),
-            _ => panic!("expected an event"),
-        }
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-    }
-
-    #[test]
-    fn queue_kind_parses_and_displays() {
-        assert_eq!("heap".parse::<QueueKind>(), Ok(QueueKind::Heap));
-        assert_eq!(" Calendar ".parse::<QueueKind>(), Ok(QueueKind::Calendar));
-        assert!("fibonacci".parse::<QueueKind>().is_err());
-        assert_eq!(QueueKind::Heap.to_string(), "heap");
-        assert_eq!(QueueKind::Calendar.to_string(), "calendar");
-        assert_eq!(QueueKind::default(), QueueKind::Calendar);
+        assert_eq!(q.peek_key(), Some((SimTime::from_micros(4), 1)));
+        assert_eq!(q.pop().map(|s| s.at), Some(SimTime::from_micros(4)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_micros(9), 0)));
     }
 }

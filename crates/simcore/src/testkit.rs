@@ -5,8 +5,54 @@
 //! no registry access they now iterate a fixed number of seeded cases drawn
 //! from [`Gen`] — same invariant coverage, deterministic by construction, and
 //! a failing case is reproducible from the printed seed alone.
+//!
+//! [`HeapBackend`] is the reference future-event list the calendar queue and
+//! the executor are tested against.
 
+use crate::queue::Scheduled;
 use crate::rng::RunRng;
+use crate::time::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Binary-heap future-event list: the differential oracle for
+/// [`CalendarBackend`](crate::CalendarBackend) and the executor. A
+/// `BinaryHeap` over reversed `(time, key)` entries is obviously correct,
+/// which is the point; it is never used in production.
+#[derive(Debug)]
+pub struct HeapBackend<E> {
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+}
+
+impl<E> Default for HeapBackend<E> {
+    fn default() -> Self {
+        HeapBackend {
+            heap: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<E> HeapBackend<E> {
+    /// Insert one pending event.
+    pub fn push(&mut self, item: Scheduled<E>) {
+        self.heap.push(Reverse(item));
+    }
+
+    /// Key of the minimum pending event.
+    pub fn min_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|r| r.0.key())
+    }
+
+    /// Remove and return the minimum pending event.
+    pub fn pop_min(&mut self) -> Option<Scheduled<E>> {
+        self.heap.pop().map(|r| r.0)
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
 
 /// A seeded case generator for randomized tests.
 pub struct Gen {

@@ -1,35 +1,47 @@
-//! Property tests of the simulation substrate: the engine's ordering
+//! Property tests of the simulation substrate: the executor's ordering
 //! guarantees and the statistics accumulators' invariants. Each test sweeps a
 //! fixed set of deterministic seeded cases (see `simcore::testkit`).
 
 use simcore::stats::{Histogram, IntervalSeries, LogHistogram, TimeWeighted, Welford};
-use simcore::testkit::check;
-use simcore::{Engine, EventQueue, Model, SimTime};
+use simcore::testkit::{check, HeapBackend};
+use simcore::{Scheduled, ShardIo, ShardModel, ShardedEngine, SimTime};
 
 struct Recorder {
     seen: Vec<(u64, u32)>,
 }
 
-impl Model for Recorder {
+impl ShardModel for Recorder {
     type Event = u32;
-    fn handle(&mut self, now: SimTime, ev: u32, _q: &mut EventQueue<u32>) {
+    type Obs = ();
+    fn handle(&mut self, now: SimTime, ev: u32, _io: &mut ShardIo<'_, u32, ()>) {
         self.seen.push((now.as_micros(), ev));
     }
+    fn ingest(&mut self, _: SimTime, _: ()) {}
 }
 
-/// The engine delivers every event exactly once, in non-decreasing time
-/// order, with FIFO order at equal timestamps.
+/// The executor delivers every event exactly once, in non-decreasing time
+/// order, with FIFO order at equal timestamps — the exact sequence the heap
+/// oracle pops.
 #[test]
 fn engine_delivery_order() {
     check(64, |g| {
         let events = g.vec_u64(0, 1_000, 1, 200);
-        let mut e = Engine::new(Recorder { seen: Vec::new() });
+        let mut e = ShardedEngine::new(vec![Recorder { seen: Vec::new() }], SimTime::ZERO);
+        let mut oracle = HeapBackend::default();
         for (i, &at) in events.iter().enumerate() {
-            e.schedule(SimTime::from_micros(at), i as u32);
+            let at = SimTime::from_micros(at);
+            e.schedule(0, at, i as u32);
+            oracle.push(Scheduled {
+                at,
+                seq: i as u64,
+                event: i as u32,
+            });
         }
         e.run_until(SimTime::MAX);
-        let seen = &e.model().seen;
-        assert_eq!(seen.len(), events.len());
+        let seen = &e.model(0).seen;
+        let want: Vec<(u64, u32)> =
+            std::iter::from_fn(|| oracle.pop_min().map(|s| (s.at.as_micros(), s.event))).collect();
+        assert_eq!(seen, &want, "seed {}", g.seed());
         // Times non-decreasing.
         assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0));
         // FIFO at equal timestamps: ids ascend within equal-time runs.

@@ -11,7 +11,7 @@ use crate::topology::Topology;
 use jvm_gc::GcConfig;
 use metrics::{MetricsConfig, SloPolicy};
 use ntier_trace::{FlightConfig, TraceConfig};
-use simcore::{QueueKind, SimTime};
+use simcore::SimTime;
 use std::str::FromStr;
 use workload::{RetryBudget, RetryPolicy, WorkloadConfig};
 
@@ -211,8 +211,8 @@ impl ServiceParams {
     ///
     /// Every cross-tier event in the system is scheduled at least one
     /// 300-byte hop in the future, which makes `hop(300)` the cross-shard
-    /// *lookahead* of the horizon-sharded engine (DESIGN.md §15) — the
-    /// shard layout derives its round bound from this exact expression.
+    /// *lookahead* of the sharded executor (DESIGN.md §15) — the shard
+    /// layout derives its lookahead from this exact expression.
     pub fn hop(&self, bytes: u64) -> SimTime {
         self.net_latency + SimTime::from_secs_f64(bytes as f64 / 125_000_000.0)
     }
@@ -306,25 +306,11 @@ pub struct SystemConfig {
     /// profiled run is bit-identical to an unprofiled one; the profile rides
     /// along as [`RunOutput::profile`](crate::RunOutput).
     pub profile: bool,
-    /// Future-event-list backend for the engine ([`QueueKind::default`] —
-    /// the calendar queue, the measured winner across the perf suite).
-    /// Backend choice is **semantics-neutral**: both backends pop
-    /// in the identical (time, seq) order, proven by differential and golden
-    /// tests, so this knob tunes performance only — it never changes a run's
-    /// output.
-    pub queue: QueueKind,
     /// Explicit tier-chain topology. `None` (the default) resolves to the
     /// paper's 4-tier chain built from `hardware`/`soft`/the GC fields at
     /// system-construction time, so late mutation of those fields still
     /// takes effect (the ablation harness relies on this).
     pub topology: Option<Topology>,
-    /// Worker threads for the horizon-sharded engine (1 = serial rounds).
-    /// Like `queue`, this is **semantics-neutral** and excluded from run
-    /// digests: the shard layout is fixed by the topology alone and every
-    /// cross-shard event carries a deterministic `(time, key)`, so any
-    /// thread count reproduces the same bits (proven by the `par_run`
-    /// differential suite).
-    pub par_run: u32,
 }
 
 impl SystemConfig {
@@ -350,24 +336,8 @@ impl SystemConfig {
             slo: None,
             metrics: MetricsConfig::Off,
             profile: false,
-            queue: QueueKind::default(),
             topology: None,
-            par_run: 1,
         }
-    }
-
-    /// Run this trial with the given future-event-list backend. Performance
-    /// only — the run output is bit-identical across backends.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Run this trial with `threads` workers driving the sharded engine.
-    /// Performance only — the run output is bit-identical for any value.
-    pub fn with_par_run(mut self, threads: u32) -> Self {
-        self.par_run = threads;
-        self
     }
 
     /// Run this trial on an explicit topology instead of the default paper

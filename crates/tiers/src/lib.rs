@@ -31,7 +31,7 @@
 //! system without clustering middleware, replicated middleware — are
 //! topology data, not new code.
 //!
-//! [`System`] implements [`simcore::Model`]; [`run_system`] executes a full
+//! [`System`] implements [`simcore::ShardModel`]; [`run_system`] executes a full
 //! trial (ramp-up → measured runtime → ramp-down) and returns a [`RunOutput`]
 //! with every observable the paper's figures and algorithm need.
 

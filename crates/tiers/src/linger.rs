@@ -8,7 +8,7 @@
 //! closing a TCP connection" — client machines get congested at high
 //! emulated-user counts and FIN replies straggle.
 //!
-//! ## Model
+//! ## The model
 //!
 //! The FIN wait is a two-component mixture:
 //!

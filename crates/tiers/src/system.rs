@@ -1,8 +1,8 @@
 //! The n-tier system model: typed message dispatch and request plumbing.
 //!
 //! One [`System`] is one *shard* of one trial: a slice of the tier chain
-//! assembled from a [`crate::topology::Topology`], driven by the
-//! horizon-sharded engine ([`simcore::ShardedEngine`]; DESIGN.md §15). The
+//! assembled from a [`crate::topology::Topology`], driven by the sharded
+//! executor ([`simcore::ShardedEngine`]; DESIGN.md §15). The
 //! front shard additionally owns the closed-loop client population. Each
 //! tier node (see `tier_nodes.rs`) handles the typed [`TierMsg`]s addressed
 //! to it; the [`simcore::ShardModel`] implementation (see `system/dispatch.rs`)

@@ -1,15 +1,13 @@
 //! Shard-aware event dispatch: the [`simcore::ShardModel`] face of
 //! [`System`].
 //!
-//! This module is the seam between the tier chain and the horizon-sharded
-//! engine (DESIGN.md §15). It owns three things:
+//! This module is the seam between the tier chain and the sharded executor
+//! (DESIGN.md §15). It owns three things:
 //!
 //! * [`ShardLayout`] — the topology-fixed assignment of tiers (and their
 //!   replica nodes) to shards. The layout depends *only* on the topology and
-//!   the service parameters, never on the worker-thread count, which is what
-//!   makes `--par-run N` bit-identical for every `N`: all thread counts run
-//!   the same shards, the same rounds, and the same `(time, key)`-ordered
-//!   event merge.
+//!   the service parameters, and the event keys — hence every output —
+//!   depend on the layout.
 //! * [`SimQueue`] — the facade handlers schedule through. It routes every
 //!   event to its owning shard by payload (a `Tier(t, …)` message goes to
 //!   `shard_of_tier[t]`, client/timer events to the front shard, node-local
@@ -21,8 +19,7 @@
 //! The cross-shard *lookahead* is `ServiceParams::hop(300)`: the smallest
 //! delivery delay any cross-tier message can have. Every `QueryArrive`/
 //! `QueryReply`/`QueryDone`/`ReqArrive` is scheduled at least one such hop
-//! in the future, so a round that stops `lookahead` short of the global
-//! minimum can run all shards concurrently without ever missing a message.
+//! in the future, which the executor asserts on every cross-shard send.
 //! A zero-latency configuration has zero lookahead and collapses to one
 //! shard (the engine would refuse a multi-shard zero-lookahead layout).
 
@@ -55,7 +52,7 @@ pub enum ObsMsg {
 }
 
 /// The topology-fixed shard layout: which shard owns each tier and node,
-/// and the cross-shard lookahead the rounds are bounded by.
+/// and the cross-shard lookahead every send respects.
 ///
 /// Tiers are assigned whole, in chain order: the front shard (0) owns every
 /// request-carrying tier (web + app — they exchange sub-hop pool/CPU events
@@ -73,8 +70,8 @@ pub(crate) struct ShardLayout {
 }
 
 impl ShardLayout {
-    /// Cut `topo` into shards. A zero lookahead (zero net latency) admits no
-    /// concurrency and collapses everything onto shard 0.
+    /// Cut `topo` into shards. A zero lookahead (zero net latency) cannot
+    /// order cross-shard sends and collapses everything onto shard 0.
     pub fn new(topo: &Topology, params: &ServiceParams) -> Self {
         let lookahead = params.hop(300);
         let mut shard_of_tier = Vec::with_capacity(topo.tiers.len());
@@ -132,10 +129,10 @@ impl ShardLayout {
 
 /// The scheduling facade handlers see: shard-routing [`ShardIo`] wrapper.
 ///
-/// Handlers call `schedule`/`schedule_now` exactly as they did against the
-/// serial `EventQueue`; the facade looks up the destination shard from the
-/// event payload and turns cross-shard destinations into lookahead-checked
-/// sends. Local destinations take the plain event-list path.
+/// Handlers call `schedule`/`schedule_now` as on a single event list; the
+/// facade looks up the destination shard from the event payload and turns
+/// cross-shard destinations into lookahead-checked sends. Local
+/// destinations take the plain event-list path.
 pub(crate) struct SimQueue<'a, 'b> {
     pub io: &'a mut ShardIo<'b, Ev, ObsMsg>,
     pub layout: &'a ShardLayout,

@@ -39,18 +39,6 @@ impl RunTrace {
     }
 }
 
-/// Queue capacity estimate for a closed-loop run with `users` sessions.
-///
-/// Session arrivals stream in from the staged lane, so the backend never
-/// holds the whole pre-run population; at steady state each session keeps
-/// at most one think/request event pending, and the 25% headroom covers
-/// CPU checks, timeouts, GC ends, and sampling. Capacity only avoids
-/// reallocation; it never changes pop order.
-pub(super) fn event_capacity_hint(users: u32) -> usize {
-    let u = users as usize;
-    u.saturating_add(u / 4).max(256)
-}
-
 /// Seed the initial event population: session starts across the ramp, the
 /// measurement-window markers, and — only for tiers with scheduled crash
 /// windows — the crash/recovery events. The healthy prefix is scheduled in
@@ -58,10 +46,10 @@ pub(super) fn event_capacity_hint(users: u32) -> usize {
 /// appends nothing, so healthy runs stay bit-identical.
 ///
 /// Session arrivals go through the queue's **staged lane**
-/// ([`EventQueue::stage`]): they draw the same RNG stream and claim the
-/// same sequence numbers as direct pushes (so pop order is bit-identical),
-/// but sit in a flat sorted array the backend merges from lazily — a
-/// 1M-session run starts without pushing a million heap entries up front.
+/// ([`ShardedEngine::stage`]): they draw the same RNG stream and claim the
+/// same keys as direct pushes (so pop order is bit-identical), but sit in a
+/// flat sorted array the calendar merges from lazily — a 1M-session run
+/// starts without pushing a million calendar entries up front.
 pub(super) fn seed_engine_events(engine: &mut ShardedEngine<System>) {
     let cfg = engine.model(0).config();
     let ramp = cfg.workload.ramp_up;
@@ -101,21 +89,13 @@ pub(super) fn seed_engine_events(engine: &mut ShardedEngine<System>) {
     }
 }
 
-/// Build the sharded engine for `cfg`: one [`System`] shard per layout slot,
-/// worker threads capped by `cfg.par_run`, cross-shard horizon from the
-/// layout's lookahead. A single-shard layout (zero lookahead, or a chain
-/// with no query tiers) degenerates to the classic serial run.
+/// Build the sharded engine for `cfg`: one [`System`] shard per layout slot
+/// and the layout's cross-shard lookahead. A single-shard layout (zero
+/// lookahead, or a chain with no query tiers) is a classic serial run.
 pub(super) fn build_engine(cfg: SystemConfig) -> ShardedEngine<System> {
-    let users = cfg.workload.users;
-    let threads = cfg.par_run.max(1) as usize;
-    let queue = cfg.queue;
     let shards = System::shards(cfg).expect("invalid topology");
     let lookahead = shards[0].layout().lookahead;
-    let mut engine = ShardedEngine::new(shards, lookahead, threads, queue, 1024);
-    // Pre-size the front queue for the closed-loop population (capacity
-    // only avoids reallocation; it never changes pop order).
-    engine.reserve(0, event_capacity_hint(users));
-    engine
+    ShardedEngine::new(shards, lookahead)
 }
 
 /// Fold the back shards' telemetry into the front shard after a run:
@@ -219,8 +199,8 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
     }
     seed_engine_events(&mut engine);
     engine.run_until(trial_end);
-    // Deliver any observations still buffered from the final partial round
-    // (back-shard spans and GC windows bound for the flight recorder).
+    // Deliver the observations still pending at the horizon (back-shard
+    // spans and GC windows bound for the flight recorder).
     engine.finish_observations();
     let events = engine.events_processed();
     let stats = engine.stats();

@@ -53,13 +53,6 @@ fn random_cfg(g: &mut Gen) -> SystemConfig {
         SystemConfig::new(HardwareConfig::one_two_one_two(), soft, users).with_topology(topo);
     cfg.workload = WorkloadConfig::quick(users);
     cfg.seed = g.u64_in(0, u64::MAX - 1);
-    // Conservation is backend-independent: draw the event-queue backend at
-    // random so both heap and calendar see the randomized fault/topology mix.
-    cfg.queue = if g.chance(0.5) {
-        QueueKind::Heap
-    } else {
-        QueueKind::Calendar
-    };
     cfg
 }
 
@@ -260,19 +253,14 @@ fn random_topologies_conserve_flow() {
 
 #[test]
 fn paper_topology_conserves_flow() {
-    // Deterministically cover every queue backend on the paper topology
-    // (the randomized suites above only cover them probabilistically).
-    for kind in QueueKind::ALL {
-        let mut cfg = SystemConfig::new(
-            HardwareConfig::one_two_one_two(),
-            SoftAllocation::rule_of_thumb(),
-            400,
-        );
-        cfg.workload = WorkloadConfig::quick(400);
-        cfg.queue = kind;
-        let (_, report) = run_system_to_drain(cfg);
-        assert_conserved(&format!("1/2/1/2 ({kind})"), &report);
-    }
+    let mut cfg = SystemConfig::new(
+        HardwareConfig::one_two_one_two(),
+        SoftAllocation::rule_of_thumb(),
+        400,
+    );
+    cfg.workload = WorkloadConfig::quick(400);
+    let (_, report) = run_system_to_drain(cfg);
+    assert_conserved("1/2/1/2", &report);
 }
 
 #[test]

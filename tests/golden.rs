@@ -124,7 +124,7 @@ fn run_golden(hw: HardwareConfig, users: u32) -> (u64, u64) {
 }
 
 fn run_golden_with(hw: HardwareConfig, users: u32, metrics: MetricsConfig) -> (u64, u64) {
-    run_golden_cfg(hw, users, metrics, false, QueueKind::default())
+    run_golden_cfg(hw, users, metrics, false)
 }
 
 fn run_golden_cfg(
@@ -132,14 +132,12 @@ fn run_golden_cfg(
     users: u32,
     metrics: MetricsConfig,
     profile: bool,
-    queue: QueueKind,
 ) -> (u64, u64) {
     let mut cfg = SystemConfig::new(hw, SoftAllocation::rule_of_thumb(), users);
     cfg.workload = WorkloadConfig::quick(users);
     cfg.trace = TraceConfig::Sampled(0.25);
     cfg.metrics = metrics;
     cfg.profile = profile;
-    cfg.queue = queue;
     let (out, trace) = run_system_traced(cfg);
     let jsonl = export::to_jsonl(trace.spans.iter());
     assert!(!trace.spans.is_empty(), "sampled run produced no spans");
@@ -168,10 +166,9 @@ fn run_golden_armed(hw: HardwareConfig, users: u32) -> (u64, u64) {
 // runner (mirrored queries, sender-side routing, per-shard RNG forks —
 // see DESIGN.md §15; the previous constants dated from the pre-refactor
 // monolithic `System`). Do not update these constants without first
-// establishing that an output change is intended and understood. In
-// particular, `--par-run N` must NOT change them for any `N`: the shard
-// layout is topology-fixed, so every thread count replays the identical
-// event merge (tests/par_run.rs proves this field by field).
+// establishing that an output change is intended and understood. They held
+// unchanged across the move from barrier rounds to the round-free executor
+// (DESIGN.md §15; tests/executor_golden.rs pins seven more configurations).
 const GOLD_1212_OUT: u64 = 0xc0182045b7981689;
 const GOLD_1212_TRACE: u64 = 0x53d94fa0985c5de6;
 const GOLD_1414_OUT: u64 = 0x779ff0ce572132ed;
@@ -235,7 +232,6 @@ fn golden_digests_unchanged_with_profiling_enabled() {
         2000,
         MetricsConfig::Off,
         true,
-        QueueKind::default(),
     );
     assert_eq!(
         out, GOLD_1212_OUT,
@@ -250,7 +246,6 @@ fn golden_digests_unchanged_with_profiling_enabled() {
         2400,
         MetricsConfig::Off,
         true,
-        QueueKind::default(),
     );
     assert_eq!(
         out, GOLD_1414_OUT,
@@ -259,98 +254,6 @@ fn golden_digests_unchanged_with_profiling_enabled() {
     assert_eq!(
         trace, GOLD_1414_TRACE,
         "engine profiling perturbed 1/4/1/4 trace: got {trace:#018x}"
-    );
-}
-
-/// The event-queue backend is a pure performance knob: both the binary heap
-/// and the calendar queue must pop the identical (time, seq) sequence, so a
-/// run forced through *either* backend reproduces the pinned digests bit
-/// for bit — the same constants captured before backends existed at all.
-/// This is the end-to-end half of the differential proof (the unit half
-/// lives in `simcore::queue` and `tests/queue_backends.rs`).
-#[test]
-fn golden_digests_identical_across_queue_backends() {
-    for kind in QueueKind::ALL {
-        let (out, trace) = run_golden_cfg(
-            HardwareConfig::one_two_one_two(),
-            2000,
-            MetricsConfig::Off,
-            false,
-            kind,
-        );
-        assert_eq!(
-            out, GOLD_1212_OUT,
-            "backend {kind} perturbed 1/2/1/2 output: got {out:#018x}"
-        );
-        assert_eq!(
-            trace, GOLD_1212_TRACE,
-            "backend {kind} perturbed 1/2/1/2 trace: got {trace:#018x}"
-        );
-        let (out, trace) = run_golden_cfg(
-            HardwareConfig::one_four_one_four(),
-            2400,
-            MetricsConfig::Off,
-            false,
-            kind,
-        );
-        assert_eq!(
-            out, GOLD_1414_OUT,
-            "backend {kind} perturbed 1/4/1/4 output: got {out:#018x}"
-        );
-        assert_eq!(
-            trace, GOLD_1414_TRACE,
-            "backend {kind} perturbed 1/4/1/4 trace: got {trace:#018x}"
-        );
-    }
-}
-
-/// `--par-run N` is the other pure performance knob: the shard layout is
-/// fixed by the topology alone, so every worker count executes the same
-/// rounds over the same (time, key)-ordered event merge and must reproduce
-/// the serial golden digests bit for bit. This is the end-to-end half of
-/// the proof; tests/par_run.rs compares the full observable surface field
-/// by field across topologies and fault campaigns.
-#[test]
-fn golden_digests_identical_under_par_run() {
-    for par in [2u32, 4, 8] {
-        let mut cfg = SystemConfig::new(
-            HardwareConfig::one_two_one_two(),
-            SoftAllocation::rule_of_thumb(),
-            2000,
-        );
-        cfg.workload = WorkloadConfig::quick(2000);
-        cfg.trace = TraceConfig::Sampled(0.25);
-        cfg.par_run = par;
-        let (out, trace) = run_system_traced(cfg);
-        let jsonl = export::to_jsonl(trace.spans.iter());
-        let (out, trace) = (digest_output(&out), digest_str(&jsonl));
-        assert_eq!(
-            out, GOLD_1212_OUT,
-            "par_run={par} perturbed 1/2/1/2 output: got {out:#018x}"
-        );
-        assert_eq!(
-            trace, GOLD_1212_TRACE,
-            "par_run={par} perturbed 1/2/1/2 trace: got {trace:#018x}"
-        );
-    }
-    let mut cfg = SystemConfig::new(
-        HardwareConfig::one_four_one_four(),
-        SoftAllocation::rule_of_thumb(),
-        2400,
-    );
-    cfg.workload = WorkloadConfig::quick(2400);
-    cfg.trace = TraceConfig::Sampled(0.25);
-    cfg.par_run = 4;
-    let (out, trace) = run_system_traced(cfg);
-    let jsonl = export::to_jsonl(trace.spans.iter());
-    let (out, trace) = (digest_output(&out), digest_str(&jsonl));
-    assert_eq!(
-        out, GOLD_1414_OUT,
-        "par_run=4 perturbed 1/4/1/4 output: got {out:#018x}"
-    );
-    assert_eq!(
-        trace, GOLD_1414_TRACE,
-        "par_run=4 perturbed 1/4/1/4 trace: got {trace:#018x}"
     );
 }
 
