@@ -51,9 +51,11 @@ impl EngineStats {
 /// `dispatch_secs`, `sched_secs`) are whole-run *estimates*: the engine times a
 /// deterministic 1-in-64 sample of event cycles (clock reads on every
 /// cycle would dominate the loop) and scales the sampled sums by the
-/// sampling fraction. Sampled cycles include the cost of their own timing
-/// probes, which is the profiler's residual overhead showing up honestly
-/// in its report.
+/// sampling fraction. The three phases are disjoint and the clock probes'
+/// own cost (measured inside the loop) is taken out of every sampled
+/// interval, so `pop_secs + dispatch_secs + sched_secs` estimates the loop's
+/// time spent in events and stays near or below `wall_secs`. They remain
+/// estimates: a preemption that lands in a sampled cycle counts 64 times.
 #[derive(Debug, Clone, Default)]
 pub struct EngineProfile {
     /// Total events processed.
@@ -62,11 +64,11 @@ pub struct EngineProfile {
     pub events_scheduled: u64,
     /// Wall-clock seconds spent popping the queue and advancing the clock.
     pub pop_secs: f64,
-    /// Wall-clock seconds spent inside `ShardModel::handle` (this *includes*
-    /// the time the model spends scheduling follow-up events — `sched_secs`
-    /// is the measured sub-phase).
+    /// Wall-clock seconds spent inside `ShardModel::handle`, *excluding* the
+    /// pushes of the follow-up events it schedules (those are `sched_secs`).
     pub dispatch_secs: f64,
-    /// Wall-clock seconds spent pushing events onto the queues.
+    /// Wall-clock seconds spent pushing events onto the queues from inside
+    /// the run (pre-run seeding is not timed).
     pub sched_secs: f64,
     /// Wall-clock seconds spent inside `run_until`/`run_to_quiescence`.
     pub wall_secs: f64,
@@ -91,16 +93,18 @@ pub struct EngineProfile {
 }
 
 /// One shard's share of a run: how many events it processed and how long
-/// the executor spent popping and dispatching them, so `busy / wall` is the
-/// shard's share of the event loop. Busy seconds are estimated from the same
-/// deterministic 1-in-64 event sample as the phase timings.
+/// the executor spent popping, dispatching and pushing for them, so
+/// `busy / wall` is the shard's share of the event loop. Busy seconds are
+/// the shard's part of the phase estimates, so they add up across shards to
+/// `pop_secs + dispatch_secs + sched_secs`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardLoad {
     /// Shard index (shard 0 is the layout's front shard by convention).
     pub shard: usize,
     /// Events this shard processed.
     pub events_processed: u64,
-    /// Wall-clock seconds spent popping and dispatching this shard's events.
+    /// Wall-clock seconds spent popping and dispatching this shard's events,
+    /// pushes included.
     pub busy_secs: f64,
 }
 

@@ -281,13 +281,9 @@ impl<E> CalendarBackend<E> {
     }
 }
 
-/// Phase timing samples one push in this many when profiling (see the
-/// matching event-cycle sample in the executor): reading a monotonic clock
-/// several times per event costs more than dispatching most events, so
-/// timing every cycle would roughly double the event loop's cost. The
-/// sample is keyed on event/schedule indices — no randomness — so profiling
-/// stays bit-identical and repeatable.
-pub(crate) const PROFILE_SAMPLE_MASK: u64 = 63;
+/// Staged-lane capacity below which drained storage is not worth a
+/// reallocation (see [`EventQueue::pop`]).
+const STAGED_RELEASE_MIN: usize = 4096;
 
 /// One shard's pending-event set: the calendar backend plus the
 /// staged-arrivals lane (see module docs), in one strict `(time, key)`
@@ -303,9 +299,6 @@ pub(crate) struct EventQueue<E> {
     started: bool,
     now: SimTime,
     high_water: usize,
-    timed: bool,
-    sched_secs: f64,
-    timed_pushes: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -316,16 +309,10 @@ impl<E> EventQueue<E> {
             started: false,
             now: SimTime::ZERO,
             high_water: 0,
-            timed: false,
-            sched_secs: 0.0,
-            timed_pushes: 0,
         }
     }
 
-    /// Push `event` at `at` under key `key`. Timing (when profiling is on)
-    /// wraps exactly the backend push on a deterministic 1-in-64 sample of
-    /// keys, so `sched_secs` holds sampled push seconds (the executor's
-    /// `profile()` scales them to an estimate).
+    /// Push `event` at `at` under key `key`.
     ///
     /// # Panics
     /// If `at` is before the current time.
@@ -336,19 +323,11 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: at={at} now={}",
             self.now
         );
-        let item = Scheduled {
+        self.backend.push(Scheduled {
             at,
             seq: key,
             event,
-        };
-        if self.timed && key & PROFILE_SAMPLE_MASK == 0 {
-            let t0 = std::time::Instant::now();
-            self.backend.push(item);
-            self.sched_secs += t0.elapsed().as_secs_f64();
-            self.timed_pushes += 1;
-        } else {
-            self.backend.push(item);
-        }
+        });
         self.high_water = self.high_water.max(self.len());
     }
 
@@ -410,10 +389,21 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove the minimum pending event, advancing the clock to its time.
+    ///
+    /// The staged lane only ever drains, so once it holds under a quarter
+    /// of its capacity the surplus goes back to the allocator (down to
+    /// twice its length): a 1M-session run does not carry the whole
+    /// seeding array to the end. That is a handful of reallocations per
+    /// run, and storage only — the pop order cannot change.
     pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
         let key = self.peek_key()?;
         let item = if self.staged.last().is_some_and(|s| s.key() == key) {
-            self.staged.pop()
+            let item = self.staged.pop();
+            let (len, cap) = (self.staged.len(), self.staged.capacity());
+            if cap >= STAGED_RELEASE_MIN && len * 4 < cap {
+                self.staged.shrink_to(len * 2);
+            }
+            item
         } else {
             self.backend.pop_min()
         }
@@ -430,16 +420,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    pub(crate) fn set_timed(&mut self, timed: bool) {
-        self.timed = timed;
-    }
-
-    pub(crate) fn sched_secs(&self) -> f64 {
-        self.sched_secs
-    }
-
-    pub(crate) fn timed_pushes(&self) -> u64 {
-        self.timed_pushes
+    /// Allocated capacity of the staged lane.
+    #[cfg(test)]
+    fn staged_capacity(&self) -> usize {
+        self.staged.capacity()
     }
 }
 
@@ -605,7 +589,8 @@ mod tests {
 
     /// The staged lane is indistinguishable from upfront pushes: same pop
     /// sequence, same keys, same high-water mark — with follow-up events
-    /// pushed mid-run to interleave with still-staged arrivals.
+    /// pushed mid-run to interleave with still-staged arrivals, and with
+    /// the lane releasing its drained storage along the way.
     #[test]
     fn staged_lane_matches_upfront_pushes_exactly() {
         check(100, |g: &mut Gen| {
@@ -641,6 +626,30 @@ mod tests {
             assert_eq!(staged.high_water(), pushed.high_water());
             assert_eq!(staged.len() + pushed.len(), 0);
         });
+
+        // At scale the lane gives its drained storage back as it empties:
+        // with `k` events left it holds at most max(4096, 4k) slots, and
+        // every pop still matches the upfront-push queue.
+        let n = 100_000u64;
+        let mut staged = EventQueue::new();
+        let mut pushed = EventQueue::new();
+        for key in 0..n {
+            let at = SimTime::from_micros((n - key) * 7_919 % 1_000_003);
+            staged.stage_keyed(at, key, key);
+            pushed.push_keyed(at, key, key);
+        }
+        assert!(staged.staged_capacity() >= n as usize);
+        for left in (0..n as usize).rev() {
+            let a = staged.pop().map(|s| (s.at, s.seq, s.event));
+            let b = pushed.pop().map(|s| (s.at, s.seq, s.event));
+            assert_eq!(a, b, "staged lane diverged with {left} left");
+            let cap = staged.staged_capacity();
+            assert!(
+                cap <= STAGED_RELEASE_MIN.max(4 * left),
+                "staged capacity {cap} with {left} left"
+            );
+        }
+        assert!(staged.pop().is_none() && pushed.pop().is_none());
     }
 
     #[test]

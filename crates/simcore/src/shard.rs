@@ -44,11 +44,24 @@
 //! stops is delivered by [`ShardedEngine::finish_observations`].
 
 use crate::profile::{peak_rss_bytes, EngineProfile, EngineStats, ShardLoad};
-use crate::queue::{EventQueue, PROFILE_SAMPLE_MASK};
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
+
+/// Profiling times one event cycle in this many: reading a monotonic clock
+/// several times per event costs about as much as dispatching one, so
+/// timing every cycle would roughly double the event loop's cost. The
+/// sample is keyed on each shard's event index — no randomness — so
+/// profiling stays bit-identical and repeatable.
+const PROFILE_SAMPLE_MASK: u64 = 63;
+
+/// Cycles whose event index has this residue time their pushes (and one
+/// empty interval, the clock probe's own cost); cycles with residue 0 time
+/// the pop and the whole dispatch. Keeping the push probes out of the
+/// dispatch interval means no probe ever sits inside another.
+const PUSH_SAMPLE: u64 = 32;
 
 /// Bits above this position of an event key hold the origin shard id.
 pub const SHARD_KEY_BITS: u32 = 56;
@@ -106,6 +119,11 @@ pub struct ShardIo<'a, E, O> {
     /// The executor's cached next key per shard; a send can only lower the
     /// destination's.
     next: &'a mut [Option<(SimTime, u64)>],
+    /// This event cycle is in the push sample: time every push.
+    timed: bool,
+    /// Measured seconds of this cycle's timed pushes, and their count.
+    sched_secs: f64,
+    timed_pushes: u32,
 }
 
 impl<E, O> ShardIo<'_, E, O> {
@@ -136,7 +154,21 @@ impl<E, O> ShardIo<'_, E, O> {
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let key = self.next_key();
-        self.lanes[self.shard].queue.push_keyed(at, key, event);
+        self.push(self.shard, at, key, event);
+    }
+
+    /// Push into shard `dest`'s queue, timing the push when this cycle is
+    /// sampled.
+    #[inline]
+    fn push(&mut self, dest: usize, at: SimTime, key: u64, event: E) {
+        if self.timed {
+            let t0 = Instant::now();
+            self.lanes[dest].queue.push_keyed(at, key, event);
+            self.sched_secs += t0.elapsed().as_secs_f64();
+            self.timed_pushes += 1;
+        } else {
+            self.lanes[dest].queue.push_keyed(at, key, event);
+        }
     }
 
     /// Schedule on this shard after a delay relative to now.
@@ -174,7 +206,7 @@ impl<E, O> ShardIo<'_, E, O> {
             self.shard
         );
         let key = self.next_key();
-        self.lanes[dest].queue.push_keyed(at, key, event);
+        self.push(dest, at, key, event);
         let next = &mut self.next[dest];
         if next.is_none_or(|n| (at, key) < n) {
             *next = Some((at, key));
@@ -232,10 +264,19 @@ struct Lane<E, O> {
     obs_pending: BinaryHeap<Reverse<ObsEntry<O>>>,
     events_processed: u64,
     per_type: Vec<(&'static str, u64)>,
-    /// Pop and dispatch seconds of the `timed_events` sampled events.
+    /// Pop and dispatch (pushes included) seconds of the `timed_events`
+    /// cycles in the phase sample.
     pop_secs: f64,
     dispatch_secs: f64,
     timed_events: u64,
+    /// Seconds of the `timed_pushes` pushes made by the `push_events`
+    /// cycles in the push sample.
+    sched_secs: f64,
+    timed_pushes: u64,
+    push_events: u64,
+    /// Seconds of one empty timed interval per push-sample cycle: what a
+    /// clock probe adds to every interval it closes, measured in the loop.
+    probe_secs: f64,
 }
 
 impl<E, O> Lane<E, O> {
@@ -250,16 +291,36 @@ impl<E, O> Lane<E, O> {
             pop_secs: 0.0,
             dispatch_secs: 0.0,
             timed_events: 0,
+            sched_secs: 0.0,
+            timed_pushes: 0,
+            push_events: 0,
+            probe_secs: 0.0,
         }
     }
 
-    /// Factor from sampled to whole-run phase seconds.
-    fn sample_scale(&self) -> f64 {
-        if self.timed_events == 0 {
+    /// Whole-run `[pop, dispatch, sched]` estimates: each sample's seconds,
+    /// less one probe per timed interval, scaled by its sampling fraction.
+    /// Dispatch is the timed dispatch less the push estimate. None is ever
+    /// negative (the probe subtraction can overshoot on phases shorter
+    /// than the clock's own jitter).
+    fn phases(&self) -> [f64; 3] {
+        let events = self.events_processed as f64;
+        let probe = if self.push_events == 0 {
             0.0
         } else {
-            self.events_processed as f64 / self.timed_events as f64
-        }
+            self.probe_secs / self.push_events as f64
+        };
+        let estimate = |secs: f64, intervals: u64, cycles: u64| {
+            if cycles == 0 {
+                0.0
+            } else {
+                ((secs - intervals as f64 * probe) * events / cycles as f64).max(0.0)
+            }
+        };
+        let pop = estimate(self.pop_secs, self.timed_events, self.timed_events);
+        let handled = estimate(self.dispatch_secs, self.timed_events, self.timed_events);
+        let sched = estimate(self.sched_secs, self.timed_pushes, self.push_events);
+        [pop, (handled - sched).max(0.0), sched]
     }
 }
 
@@ -330,7 +391,7 @@ impl<M: ShardModel> ShardedEngine<M> {
     }
 
     /// Turn on phase profiling: wall-clock timing of the pop, dispatch, and
-    /// push phases on a deterministic 1-in-64 sample of events and pushes
+    /// push phases of a deterministic 1-in-64 sample of event cycles
     /// (scaled to whole-run estimates in [`profile`](Self::profile)), plus
     /// the per-kind counts of [`enable_telemetry`](Self::enable_telemetry).
     /// Profiling is passive — it draws no randomness, schedules nothing, and
@@ -339,9 +400,6 @@ impl<M: ShardModel> ShardedEngine<M> {
     pub fn enable_profiling(&mut self) {
         self.profiling = true;
         self.telemetry = true;
-        for l in &mut self.lanes {
-            l.queue.set_timed(true);
-        }
     }
 
     /// Borrow shard `i`'s model.
@@ -437,34 +495,24 @@ impl<M: ShardModel> ShardedEngine<M> {
         }
     }
 
-    /// Phase profile: each shard's sampled pop/dispatch seconds scaled by
-    /// its own sampling fraction, then summed; push seconds scaled by the
-    /// run's overall push sample. Per-shard busy seconds (pop + dispatch)
-    /// ride in [`EngineProfile::shards`].
+    /// Phase profile: each shard's sampled pop, dispatch and push seconds
+    /// scaled by its own sampling fraction, then summed over shards. The
+    /// three phases are disjoint (pushes count toward the shard whose event
+    /// made them), so together they estimate the time the run loop spent in
+    /// events. They are estimates, not a partition of wall-clock: a
+    /// preemption that lands in a sampled cycle counts 64 times. Per-shard
+    /// busy seconds (the shard's three phases) ride in
+    /// [`EngineProfile::shards`].
     pub fn profile(&self) -> EngineProfile {
         let stats = self.stats();
-        let scheduled: u64 = self.lanes.iter().map(|l| l.counter).sum();
-        let timed_pushes: u64 = self.lanes.iter().map(|l| l.queue.timed_pushes()).sum();
-        let sched_secs = if timed_pushes == 0 {
-            0.0
-        } else {
-            let sampled: f64 = self.lanes.iter().map(|l| l.queue.sched_secs()).sum();
-            sampled * scheduled as f64 / timed_pushes as f64
-        };
+        let phases: Vec<[f64; 3]> = self.lanes.iter().map(Lane::phases).collect();
+        let phase = |k: usize| phases.iter().map(|p| p[k]).sum();
         EngineProfile {
             events_processed: stats.events_processed,
-            events_scheduled: scheduled,
-            pop_secs: self
-                .lanes
-                .iter()
-                .map(|l| l.pop_secs * l.sample_scale())
-                .sum(),
-            dispatch_secs: self
-                .lanes
-                .iter()
-                .map(|l| l.dispatch_secs * l.sample_scale())
-                .sum(),
-            sched_secs,
+            events_scheduled: self.lanes.iter().map(|l| l.counter).sum(),
+            pop_secs: phase(0),
+            dispatch_secs: phase(1),
+            sched_secs: phase(2),
             wall_secs: self.wall_secs,
             queue_high_water: stats.queue_high_water,
             queue_capacity: stats.queue_capacity,
@@ -478,7 +526,7 @@ impl<M: ShardModel> ShardedEngine<M> {
                 .map(|(i, l)| ShardLoad {
                     shard: i,
                     events_processed: l.events_processed,
-                    busy_secs: (l.pop_secs + l.dispatch_secs) * l.sample_scale(),
+                    busy_secs: phases[i].iter().sum(),
                 })
                 .collect(),
         }
@@ -519,6 +567,11 @@ impl<M: ShardModel> ShardedEngine<M> {
     /// Only the popped shard needs a fresh lookup: a send can only lower a
     /// destination's key, and [`ShardIo::send`] records that directly.
     /// Returns `window` lowered by the event's cross-shard sends.
+    ///
+    /// Profiling samples two disjoint sets of cycles (see
+    /// [`PUSH_SAMPLE`]): one times the pop and the dispatch, the other
+    /// times each push plus one empty interval, so each timed interval
+    /// holds exactly one clock probe and [`Lane::phases`] can take it out.
     fn dispatch(
         &mut self,
         i: usize,
@@ -527,23 +580,27 @@ impl<M: ShardModel> ShardedEngine<M> {
     ) -> SimTime {
         let model = &mut self.models[i];
         let lane = &mut self.lanes[i];
-        let sample = self.profiling && lane.events_processed & PROFILE_SAMPLE_MASK == 0;
-        let t0 = sample.then(Instant::now);
-        let item = lane.queue.pop().expect("cached next event vanished");
-        if let Some(t0) = t0 {
-            lane.pop_secs += t0.elapsed().as_secs_f64();
-        }
         // Observation safety: everything stamped ≤ now − L is final (no
-        // shard can still emit below that), so deliver it before the event.
+        // shard can still emit below that), so deliver it before the event
+        // (whose time is the cached next key's).
+        let (at, _) = next[i].expect("picked shard has a pending event");
         ingest_through(
             model,
             &mut lane.obs_pending,
-            item.at.saturating_sub(self.lookahead),
+            at.saturating_sub(self.lookahead),
         );
-        if self.telemetry {
-            bump(&mut lane.per_type, M::event_label(&item.event), 1);
+        let phase = lane.events_processed & PROFILE_SAMPLE_MASK;
+        let sample = self.profiling && phase == 0;
+        let push_sample = self.profiling && phase == PUSH_SAMPLE;
+        if push_sample {
+            let p = Instant::now();
+            lane.probe_secs += p.elapsed().as_secs_f64();
+            lane.push_events += 1;
         }
         let t0 = sample.then(Instant::now);
+        let item = lane.queue.pop().expect("cached next event vanished");
+        let t1 = sample.then(Instant::now);
+        let label = self.telemetry.then(|| M::event_label(&item.event));
         let mut io = ShardIo {
             shard: i,
             now: item.at,
@@ -551,13 +608,22 @@ impl<M: ShardModel> ShardedEngine<M> {
             window,
             lanes: &mut self.lanes,
             next,
+            timed: push_sample,
+            sched_secs: 0.0,
+            timed_pushes: 0,
         };
         model.handle(item.at, item.event, &mut io);
-        let window = io.window;
+        let (window, sched, pushes) = (io.window, io.sched_secs, io.timed_pushes);
         let lane = &mut self.lanes[i];
-        if let Some(t0) = t0 {
-            lane.dispatch_secs += t0.elapsed().as_secs_f64();
+        if let (Some(t0), Some(t1)) = (t0, t1) {
+            lane.pop_secs += (t1 - t0).as_secs_f64();
+            lane.dispatch_secs += t1.elapsed().as_secs_f64();
             lane.timed_events += 1;
+        }
+        lane.sched_secs += sched;
+        lane.timed_pushes += u64::from(pushes);
+        if let Some(label) = label {
+            bump(&mut lane.per_type, label, 1);
         }
         lane.events_processed += 1;
         next[i] = lane.queue.peek_key();
@@ -698,7 +764,12 @@ mod tests {
     }
 
     fn ring(n: usize) -> ShardedEngine<RingShard> {
-        let models = (0..n).map(|_| RingShard::new(n, 40)).collect();
+        ring_of(n, 40)
+    }
+
+    /// A ring whose tokens make `hops` passes.
+    fn ring_of(n: usize, hops: u32) -> ShardedEngine<RingShard> {
+        let models = (0..n).map(|_| RingShard::new(n, hops)).collect();
         let mut eng = ShardedEngine::new(models, HOP);
         eng.enable_telemetry();
         eng.schedule(0, SimTime(5), Tok::Pass(0));
@@ -904,7 +975,9 @@ mod tests {
     #[test]
     fn profiling_is_passive_and_times_every_phase() {
         let run = |profiled: bool| {
-            let mut eng = ring(3);
+            // Long enough that every shard's samples include passes, the
+            // events that push.
+            let mut eng = ring_of(3, 400);
             if profiled {
                 eng.enable_profiling();
             }
@@ -968,6 +1041,59 @@ mod tests {
         assert!(
             runs.iter().any(|&(pop, wall)| pop <= wall),
             "pop seconds exceed wall seconds in every run: {runs:?}"
+        );
+    }
+
+    /// The phase estimates add up. On a ping-pong chain — every event one
+    /// pop, a short hash loop (about two clock reads' worth) and one push —
+    /// pop + dispatch + sched must come within 1.1x of wall-clock. A
+    /// preemption that lands in a sampled cycle is scaled 64x, so the bound
+    /// must hold in one of five runs; leaving the probes' own cost in the
+    /// estimates reads over 2x in every run. (Counting the pushes inside
+    /// dispatch as well is too cheap to show here; the paper-sized `tiers`
+    /// test catches it.)
+    #[test]
+    fn phase_estimates_stay_within_wall_clock() {
+        struct PingPong {
+            remaining: u64,
+            checksum: u64,
+        }
+        impl ShardModel for PingPong {
+            type Event = ();
+            type Obs = ();
+            fn handle(&mut self, now: SimTime, _: (), io: &mut ShardIo<'_, (), ()>) {
+                let mut x = self.checksum.wrapping_add(now.as_micros());
+                for _ in 0..16 {
+                    x = std::hint::black_box(x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (x >> 29));
+                }
+                self.checksum = x;
+                if self.remaining > 0 {
+                    self.remaining -= 1;
+                    io.schedule_after(SimTime::from_micros(1 + (self.checksum & 7)), ());
+                }
+            }
+            fn ingest(&mut self, _: SimTime, _: ()) {}
+        }
+        let run = || {
+            let n = 200_000u64;
+            let model = PingPong {
+                remaining: n - 1,
+                checksum: 1,
+            };
+            let mut eng = ShardedEngine::new(vec![model], SimTime::ZERO);
+            eng.enable_profiling();
+            eng.schedule(0, SimTime::ZERO, ());
+            eng.run_to_quiescence(n);
+            let p = eng.profile();
+            assert_eq!(p.events_processed, n);
+            let phases = p.pop_secs + p.dispatch_secs + p.sched_secs;
+            assert!(phases > 0.0);
+            (phases, p.wall_secs)
+        };
+        let runs: Vec<(f64, f64)> = (0..5).map(|_| run()).collect();
+        assert!(
+            runs.iter().any(|&(phases, wall)| phases <= 1.1 * wall),
+            "pop + dispatch + sched exceed 1.1x wall in every run: {runs:?}"
         );
     }
 }

@@ -40,8 +40,9 @@ pub enum ReqPhase {
 pub struct Request {
     /// Owning client session.
     pub session: u32,
-    /// Interaction type.
-    pub interaction: InteractionId,
+    /// Interaction type, stored compactly (the catalog is far smaller than
+    /// `u16::MAX`; at 1M in-flight requests this saves 6 MB of slab).
+    pub interaction: u16,
     /// Current phase.
     pub phase: ReqPhase,
     /// Replica of each tier serving this request, indexed by tier id
@@ -66,24 +67,6 @@ pub struct Request {
     pub arms_remaining: u8,
     /// Total app-tier CPU demand sampled for this execution (seconds).
     pub app_demand_secs: f64,
-    /// Trace id when this request was admitted for tracing (0 = untraced;
-    /// ids are monotone per trial, never reused even though slab slots are).
-    pub trace: u64,
-    /// CPU demand submitted on behalf of this request (its queries charge
-    /// it too), per tier, in seconds. Maintained only while the flight
-    /// recorder is armed and flushed to it in one batch at the client
-    /// response — per-submit recorder charges would dominate its cost.
-    pub demand_secs: [f64; MAX_TIERS],
-    /// When the app-tier thread was granted (first app CPU slice).
-    pub t_thread_granted: SimTime,
-    /// When the request started waiting for a DB connection.
-    pub t_conn_wait_start: SimTime,
-    /// When the current query was issued (DB connection granted).
-    pub t_query_issued: SimTime,
-    /// When front-tier post-processing began (backend response received).
-    pub t_front_post_start: SimTime,
-    /// When the front tier finished the response (start of lingering close).
-    pub t_front_done: SimTime,
     /// Terminal outcome (meaningful once the response reaches the client).
     pub outcome: Outcome,
     /// 1-based attempt number (> 1 after a client retry).
@@ -110,7 +93,7 @@ impl Request {
     pub fn new(session: u32, interaction: InteractionId, t_start: SimTime) -> Self {
         Request {
             session,
-            interaction,
+            interaction: u16::try_from(interaction).expect("interaction id fits in u16"),
             phase: ReqPhase::ToFront,
             route: [0; MAX_TIERS],
             queries_done: 0,
@@ -122,13 +105,6 @@ impl Request {
             backend_interact_secs: 0.0,
             arms_remaining: 2,
             app_demand_secs: 0.0,
-            trace: 0,
-            demand_secs: [0.0; MAX_TIERS],
-            t_thread_granted: SimTime::ZERO,
-            t_conn_wait_start: SimTime::ZERO,
-            t_query_issued: SimTime::ZERO,
-            t_front_post_start: SimTime::ZERO,
-            t_front_done: SimTime::ZERO,
             outcome: Outcome::Completed,
             attempt: 1,
             timeout_seq: 0,
@@ -149,6 +125,59 @@ impl Request {
                 | ReqPhase::WaitDbConn
                 | ReqPhase::QueryInFlight
         )
+    }
+}
+
+// Every in-flight request pays for every byte here: a 1M-session run holds
+// about a million of them at once. Observation-only state belongs in
+// [`ReqObs`].
+const _: () = assert!(std::mem::size_of::<Request>() <= 96);
+
+/// Observation-only state of one in-flight request: what the span sites and
+/// the flight-recorder hand-off read, and nothing the simulation itself
+/// does. It lives in a side table indexed by request slab slot that exists
+/// only while tracing is on, so an untraced run never allocates it.
+#[derive(Debug, Clone, Copy)]
+pub struct ReqObs {
+    /// Trace id when this request was admitted for tracing (0 = untraced;
+    /// ids are monotone per trial, never reused even though slab slots are).
+    pub trace: u64,
+    /// CPU demand submitted on behalf of this request (its queries charge
+    /// it too), per tier, in seconds. Maintained only while the flight
+    /// recorder is armed and flushed to it in one batch at the client
+    /// response — per-submit recorder charges would dominate its cost.
+    pub demand_secs: [f64; MAX_TIERS],
+    /// When the app-tier thread was granted (first app CPU slice).
+    pub t_thread_granted: SimTime,
+    /// When the request started waiting for a DB connection.
+    pub t_conn_wait_start: SimTime,
+    /// When the current query was issued (DB connection granted).
+    pub t_query_issued: SimTime,
+    /// When front-tier post-processing began (backend response received).
+    pub t_front_post_start: SimTime,
+    /// When the front tier finished the response (start of lingering close).
+    pub t_front_done: SimTime,
+}
+
+impl ReqObs {
+    /// The record of an untraced request: what every read sees when the
+    /// side table does not exist.
+    pub const UNTRACED: ReqObs = ReqObs {
+        trace: 0,
+        demand_secs: [0.0; MAX_TIERS],
+        t_thread_granted: SimTime::ZERO,
+        t_conn_wait_start: SimTime::ZERO,
+        t_query_issued: SimTime::ZERO,
+        t_front_post_start: SimTime::ZERO,
+        t_front_done: SimTime::ZERO,
+    };
+
+    /// A fresh record for a request carrying trace id `trace`.
+    pub fn new(trace: u64) -> Self {
+        ReqObs {
+            trace,
+            ..ReqObs::UNTRACED
+        }
     }
 }
 
@@ -333,6 +362,16 @@ mod tests {
         assert_eq!(r.attempt, 1);
         assert_eq!(r.timeout_seq, 0);
         assert!(!r.deadline_exceeded);
+        assert_eq!(r.interaction, 3);
+    }
+
+    #[test]
+    fn fresh_observation_record_is_untraced_but_for_its_id() {
+        let o = ReqObs::new(42);
+        assert_eq!(o.trace, 42);
+        assert_eq!(o.demand_secs, [0.0; MAX_TIERS]);
+        assert_eq!(o.t_front_done, SimTime::ZERO);
+        assert_eq!(ReqObs::UNTRACED.trace, 0);
     }
 
     #[test]

@@ -125,6 +125,11 @@ impl<T> Slab<T> {
         }
     }
 
+    /// Number of slots ever used, live or vacant (handles are `0..slots()`).
+    pub fn slots(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Whether the handle is occupied.
     pub fn contains(&self, idx: u32) -> bool {
         matches!(self.entries.get(idx as usize), Some(Entry::Occupied(_)))
@@ -205,6 +210,7 @@ mod tests {
             assert_eq!(s.insert(100), handles[i as usize]);
         }
         assert_eq!(s.capacity(), cap);
+        assert_eq!(s.slots(), 8);
     }
 
     #[test]

@@ -17,7 +17,9 @@ use crate::fault::{FaultSpec, Outcome, OutcomeTotals, ShedPolicy, TopologyError}
 use crate::ids::{QueryId, ReqId, Tier, Token};
 use crate::nodes::{ApacheProbe, Node};
 use crate::output::{ApacheProbes, NodeReport, RunOutput, Telemetry};
-use crate::request::{QueryDoneWire, QueryPhase, QueryReplyWire, QueryWire, ReqPhase, Request};
+use crate::request::{
+    QueryDoneWire, QueryPhase, QueryReplyWire, QueryWire, ReqObs, ReqPhase, Request,
+};
 use crate::resilience::{BreakerState, HedgeSpec};
 use crate::slab::Slab;
 use crate::tier_nodes::{make_tier, TierNode};
@@ -193,6 +195,13 @@ pub(crate) struct Ctx {
     /// chain order).
     pub req_tiers: Vec<TierId>,
     pub requests: Slab<Request>,
+    /// Observation-only request state ([`ReqObs`]), indexed by `requests`
+    /// slot. Present exactly when `tracer` is: an untraced run never
+    /// allocates it, and every reader goes through
+    /// [`Ctx::obs`]/[`Ctx::obs_mut`], which skip it then. It starts empty
+    /// and grows as requests are issued, so it holds one entry per slot
+    /// ever used on the front shard and stays empty on the query shards.
+    pub req_obs: Option<Vec<ReqObs>>,
     pub queries: Slab<crate::request::Query>,
     pub rng_demand: RunRng,
     pub rng_linger: RunRng,
@@ -426,6 +435,7 @@ impl Ctx {
             node_tier,
             req_tiers,
             requests: Slab::with_capacity(4096),
+            req_obs: tracer.is_some().then(Vec::new),
             queries: Slab::with_capacity(4096),
             telemetry,
             metrics,
@@ -649,10 +659,8 @@ impl Ctx {
             return;
         }
         let app_t = self.req_tiers[1];
-        let (rep, trace) = {
-            let req = self.requests.get(r);
-            (req.route[app_t] as usize, req.trace)
-        };
+        let rep = self.requests.get(r).route[app_t] as usize;
+        let trace = self.obs(r).trace;
         let ni = self.links[app_t].base + rep;
         let cancelled = self.nodes[ni]
             .pool
@@ -725,7 +733,7 @@ impl Ctx {
         // The chain is validated as Web→App[→Cmw]→Db, so the app tier is the
         // second request-carrying tier.
         let app_t = self.req_tiers[1];
-        let (ni, rep, trace) = {
+        let (ni, rep) = {
             let req = self.requests.get_mut(r);
             if req.outcome == Outcome::Completed {
                 req.outcome = outcome;
@@ -735,9 +743,9 @@ impl Ctx {
             (
                 self.links[app_t].base + req.route[app_t] as usize,
                 req.route[app_t] as usize,
-                req.trace,
             )
         };
+        let trace = self.obs(r).trace;
         match outcome {
             Outcome::TimedOut => self.nodes[ni].timed_out += 1,
             Outcome::Failed => self.nodes[ni].failed += 1,
@@ -786,18 +794,21 @@ impl Ctx {
         now: SimTime,
         q: &mut SimQueue<'_, '_>,
     ) {
-        // Demand attribution for the flight recorder. Requests charge their
-        // own per-tier array directly (front shard only — requests never
-        // leave it); queries accumulate on the local mirror and settle
-        // upstream via the reply wires, so no shard writes another's slabs.
-        // Either way the accumulation is flushed to the recorder in one
-        // batch at the client response, keeping this per-submit hot path to
-        // a slab hit and an add.
+        // Demand attribution for the flight recorder. Requests charge the
+        // per-tier array of their observation record directly (front shard
+        // only — requests never leave it; no record, no charge: the recorder
+        // rides on the tracer); queries accumulate on the local mirror and
+        // settle upstream via the reply wires, so no shard writes another's
+        // slabs. Either way the accumulation is flushed to the recorder in
+        // one batch at the client response, keeping this per-submit hot path
+        // to a table hit and an add.
         match tok {
             Token::Req(r) => {
-                if self.flight.as_deref().is_some_and(FlightRecorder::armed) {
-                    let (t, _) = self.node_tier[ni];
-                    self.requests.get_mut(r).demand_secs[t] += demand_secs;
+                if let Some(table) = self.req_obs.as_mut() {
+                    if self.flight.as_deref().is_some_and(FlightRecorder::armed) {
+                        let (t, _) = self.node_tier[ni];
+                        table[r as usize].demand_secs[t] += demand_secs;
+                    }
                 }
             }
             Token::Query(qid) => {
@@ -818,6 +829,22 @@ impl Ctx {
         if let Some(jvm) = node.jvm.as_mut() {
             jvm.set_active(node.cpu.active_jobs());
         }
+    }
+
+    /// Request `r`'s observation record; [`ReqObs::UNTRACED`] when tracing
+    /// is off (span sites then see trace id 0 and push nothing).
+    #[inline]
+    pub fn obs(&self, r: ReqId) -> &ReqObs {
+        match &self.req_obs {
+            Some(table) => &table[r as usize],
+            None => &ReqObs::UNTRACED,
+        }
+    }
+
+    /// Request `r`'s observation record for writing, when tracing is on.
+    #[inline]
+    pub fn obs_mut(&mut self, r: ReqId) -> Option<&mut ReqObs> {
+        self.req_obs.as_mut().map(|table| &mut table[r as usize])
     }
 
     /// Push a request-level span segment; no-op for untraced requests
@@ -975,21 +1002,30 @@ impl Ctx {
             let t = self.req_tiers[i];
             req.route[t] = self.select_replica(t, s as usize) as u16;
         }
+        let r = self.requests.insert(req);
         // Head sampling: the admit decision is made once, at the request's
         // birth, from a monotone id (slab slots are reused; trace ids never
-        // are — id 0 is reserved for engine-level spans).
-        if let Some(tr) = self.tracer.as_mut() {
+        // are — id 0 is reserved for engine-level spans). The slot's
+        // observation record is (re)written here, so it never outlives its
+        // request's state.
+        if let (Some(tr), Some(table)) = (self.tracer.as_mut(), self.req_obs.as_mut()) {
             self.next_trace += 1;
-            if tr.admit(self.next_trace) {
-                req.trace = self.next_trace;
+            let trace = if tr.admit(self.next_trace) {
+                self.next_trace
+            } else {
+                ENGINE_TRACE
+            };
+            let slot = r as usize;
+            if slot >= table.len() {
+                table.resize(slot + 1, ReqObs::UNTRACED);
             }
+            table[slot] = ReqObs::new(trace);
         }
-        let r = self.requests.insert(req);
         q.schedule(now + self.hop(512), Ev::Tier(0, TierMsg::ReqArrive(r)));
     }
 
     fn on_response_to_client(&mut self, r: ReqId, now: SimTime, q: &mut SimQueue<'_, '_>) {
-        let (session, t_start, rt, outcome, attempt, interaction, trace, fast_failed, demand) = {
+        let (session, t_start, rt, outcome, attempt, interaction, fast_failed) = {
             let req = self.requests.get(r);
             (
                 req.session,
@@ -998,11 +1034,10 @@ impl Ctx {
                 req.outcome,
                 req.attempt,
                 req.interaction,
-                req.trace,
                 req.fast_failed,
-                req.demand_secs,
             )
         };
+        let trace = self.obs(r).trace;
         self.outcomes.count(outcome);
         if trace != ENGINE_TRACE {
             if let Some(f) = self.flight.as_mut() {
@@ -1014,6 +1049,11 @@ impl Ctx {
                 };
                 // Hand over the demand this request accumulated across its
                 // CPU submits (run-queue carve input) with the completion.
+                let demand = &self
+                    .req_obs
+                    .as_ref()
+                    .expect("the flight recorder rides on the tracer")[r as usize]
+                    .demand_secs;
                 let mut dm = [("", 0.0f64); MAX_TIERS];
                 let mut n = 0;
                 for (t, link) in self.links.iter().enumerate() {
@@ -1094,7 +1134,7 @@ impl Ctx {
                 .retry
                 .delay(attempt, u)
                 .expect("attempt below max_attempts");
-            self.retry_pending[session as usize] = (interaction as u16, attempt + 1);
+            self.retry_pending[session as usize] = (interaction, attempt + 1);
             self.outcomes.retries += 1;
             if self.measuring && now <= self.measure_end {
                 if let Some(m) = self.metrics.as_mut() {
@@ -1132,12 +1172,13 @@ impl Ctx {
             ReqPhase::WaitWorker => {
                 // Still queued for a front worker: cancel the waiter and
                 // answer the client directly (no worker ever served it).
-                let (rep, trace) = {
+                let rep = {
                     let req = self.requests.get_mut(r);
                     req.outcome = Outcome::TimedOut;
                     req.timeout_seq = 0;
-                    (req.route[0] as usize, req.trace)
+                    req.route[0] as usize
                 };
+                let trace = self.obs(r).trace;
                 let ni = self.links[0].base + rep;
                 let cancelled = self.nodes[ni]
                     .pool
@@ -1165,12 +1206,13 @@ impl Ctx {
             ReqPhase::FrontPre | ReqPhase::FrontPost => {
                 // The front CPU slice cannot be yanked out of the PS queue;
                 // the response will be served, but late — mark it timed out.
-                let (rep, trace) = {
+                let rep = {
                     let req = self.requests.get_mut(r);
                     req.outcome = Outcome::TimedOut;
                     req.timeout_seq = 0;
-                    (req.route[0] as usize, req.trace)
+                    req.route[0] as usize
                 };
+                let trace = self.obs(r).trace;
                 self.nodes[self.links[0].base + rep].timed_out += 1;
                 let track = self.links[0].name;
                 self.req_span(trace, track, ntier_trace::TIMEOUT, now, now, q);
@@ -1179,12 +1221,13 @@ impl Ctx {
                 // Queued for a servlet thread: cancel the waiter (no thread
                 // held, so nothing to release) and error-reply upstream.
                 let app_t = self.req_tiers[1];
-                let (rep, trace) = {
+                let rep = {
                     let req = self.requests.get_mut(r);
                     req.outcome = Outcome::TimedOut;
                     req.timeout_seq = 0;
-                    (req.route[app_t] as usize, req.trace)
+                    req.route[app_t] as usize
                 };
+                let trace = self.obs(r).trace;
                 let ni = self.links[app_t].base + rep;
                 let cancelled = self.nodes[ni]
                     .pool
@@ -1595,6 +1638,64 @@ mod tests {
         // loop), so instead verify in-flight population is bounded by users.
         // Requests live on the front shard only.
         assert!(engine.model(0).in_flight() <= 60);
+    }
+
+    /// Only a traced run pays for the per-request observation table: an
+    /// untraced run never allocates it, a fully traced one keeps one entry
+    /// per request slab slot.
+    #[test]
+    fn observation_table_exists_only_when_tracing() {
+        let run = |trace: ntier_trace::TraceConfig| {
+            let mut cfg = quick_cfg(120);
+            cfg.trace = trace;
+            let trial_end = cfg.workload.trial_end();
+            let mut engine = run::build_engine(cfg);
+            run::seed_engine_events(&mut engine);
+            engine.run_until(trial_end);
+            engine
+        };
+        let untraced = run(ntier_trace::TraceConfig::Off);
+        for shard in 0..untraced.n_shards() {
+            assert!(untraced.model(shard).ctx.req_obs.is_none());
+        }
+        let traced = run(ntier_trace::TraceConfig::Full);
+        let ctx = &traced.model(0).ctx;
+        let table = ctx.req_obs.as_ref().expect("traced run has the table");
+        assert!(ctx.requests.slots() > 0);
+        assert_eq!(table.len(), ctx.requests.slots());
+        // Every live request carries its own admitted trace id.
+        for (r, _) in ctx.requests.iter() {
+            assert_ne!(table[r as usize].trace, ENGINE_TRACE);
+        }
+    }
+
+    /// The engine profile adds up on a paper-sized run (1/2/1/2 at the
+    /// paper's 7800 users): pop, dispatch and push are disjoint phases
+    /// whose estimates come within 1.1x of wall-clock, and each shard's
+    /// busy time is its part of them. A preemption that lands in a sampled
+    /// cycle is scaled 64x, so the bound must hold in one of three runs.
+    #[test]
+    fn engine_profile_phases_stay_within_wall_clock() {
+        let mut cfg = SystemConfig::new(
+            HardwareConfig::one_two_one_two(),
+            SoftAllocation::rule_of_thumb(),
+            7800,
+        );
+        cfg.workload = WorkloadConfig::quick(7800);
+        cfg.profile = true;
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            let p = run_system(cfg.clone()).profile.expect("profiled run");
+            let phases = p.pop_secs + p.dispatch_secs + p.sched_secs;
+            assert!(p.dispatch_secs > 0.0);
+            let busy: f64 = p.shards.iter().map(|s| s.busy_secs).sum();
+            assert!((busy - phases).abs() <= 1e-9 * phases.max(1.0));
+            runs.push((p.pop_secs, p.dispatch_secs, p.sched_secs, p.wall_secs));
+            if phases <= 1.1 * p.wall_secs {
+                return;
+            }
+        }
+        panic!("pop + dispatch + sched exceed 1.1x wall in every run: {runs:?}");
     }
 
     #[test]

@@ -78,11 +78,8 @@ impl WebNode {
                     .shed
                     .should_shed(pool.capacity(), pool.in_use(), pool.waiting());
             if shed {
-                let trace = {
-                    let req = ctx.requests.get_mut(r);
-                    req.outcome = Outcome::Shed;
-                    req.trace
-                };
+                ctx.requests.get_mut(r).outcome = Outcome::Shed;
+                let trace = ctx.obs(r).trace;
                 ctx.nodes[ni].departures += 1;
                 ctx.nodes[ni].shed += 1;
                 ctx.route_departed(self.id, rep);
@@ -99,12 +96,12 @@ impl WebNode {
         // client sees an error page, not an admission refusal) and is
         // excluded from the breaker's own signal window.
         if !ctx.breaker_admit(self.id, now) {
-            let trace = {
+            {
                 let req = ctx.requests.get_mut(r);
                 req.outcome = Outcome::Failed;
                 req.fast_failed = true;
-                req.trace
-            };
+            }
+            let trace = ctx.obs(r).trace;
             ctx.nodes[ni].departures += 1;
             ctx.nodes[ni].failed += 1;
             ctx.route_departed(self.id, rep);
@@ -125,16 +122,16 @@ impl WebNode {
 
     fn start_pre(&self, r: ReqId, now: SimTime, ctx: &mut Ctx, q: &mut SimQueue<'_, '_>) {
         let demand = ctx.jitter_ms(ctx.cfg.params.apache_pre_ms);
-        let (ni, trace, t_arrive) = {
+        let (ni, t_arrive) = {
             let req = ctx.requests.get_mut(r);
             req.t_worker_acquired = now;
             req.phase = ReqPhase::FrontPre;
             (
                 ctx.links[self.id].base + req.route[self.id] as usize,
-                req.trace,
                 req.t_arrive_front,
             )
         };
+        let trace = ctx.obs(r).trace;
         let track = ctx.links[self.id].name;
         ctx.req_span(trace, track, ntier_trace::ACCEPT_WAIT, t_arrive, now, q);
         ctx.cpu_submit(ni, Token::Req(r), demand, now, q);
@@ -142,16 +139,13 @@ impl WebNode {
 
     /// Pre-CPU finished: forward to the downstream (app) tier.
     fn forward_downstream(&self, r: ReqId, now: SimTime, ctx: &mut Ctx, q: &mut SimQueue<'_, '_>) {
-        let (rep, trace, t_worker) = {
+        let (rep, t_worker) = {
             let req = ctx.requests.get_mut(r);
             req.phase = ReqPhase::WaitAppThread;
             req.t_backend_start = now;
-            (
-                req.route[self.id] as usize,
-                req.trace,
-                req.t_worker_acquired,
-            )
+            (req.route[self.id] as usize, req.t_worker_acquired)
         };
+        let trace = ctx.obs(r).trace;
         let track = ctx.links[self.id].name;
         ctx.req_span(trace, track, ntier_trace::WORKER_PRE, t_worker, now, q);
         ctx.probes[rep].interacting += 1;
@@ -167,16 +161,18 @@ impl WebNode {
 
     /// Post-CPU finished: send the response and linger on close.
     fn finish(&self, r: ReqId, now: SimTime, ctx: &mut Ctx, q: &mut SimQueue<'_, '_>) {
-        let (rep, response_kb, trace, t_arrive, t_post, served) = {
+        let (rep, response_kb, t_arrive, served) = {
             let req = ctx.requests.get(r);
             (
                 req.route[self.id] as usize,
-                ctx.catalog.get(req.interaction).response_kb,
-                req.trace,
+                ctx.catalog.get(req.interaction.into()).response_kb,
                 req.t_arrive_front,
-                req.t_front_post_start,
                 req.outcome == Outcome::Completed,
             )
+        };
+        let (trace, t_post) = {
+            let o = ctx.obs(r);
+            (o.trace, o.t_front_post_start)
         };
         let ni = ctx.links[self.id].base + rep;
         // Error pages don't count as served work: the node's completion log
@@ -188,12 +184,11 @@ impl WebNode {
         let track = ctx.links[self.id].name;
         ctx.req_span(trace, track, ntier_trace::WORKER_POST, t_post, now, q);
         ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_arrive, now, q);
-        {
-            let req = ctx.requests.get_mut(r);
-            req.t_front_done = now;
-            // The response is on its way; any outstanding deadline is moot.
-            req.timeout_seq = 0;
+        if let Some(o) = ctx.obs_mut(r) {
+            o.t_front_done = now;
         }
+        // The response is on its way; any outstanding deadline is moot.
+        ctx.requests.get_mut(r).timeout_seq = 0;
         q.schedule(
             now + ctx.hop(response_kb as u64 * 1024),
             Ev::ResponseToClient(r),
@@ -216,8 +211,8 @@ impl WebNode {
     fn linger_done(&self, r: ReqId, now: SimTime, ctx: &mut Ctx, q: &mut SimQueue<'_, '_>) {
         let rep = ctx.requests.get(r).route[self.id] as usize;
         let (trace, t_done) = {
-            let req = ctx.requests.get(r);
-            (req.trace, req.t_front_done)
+            let o = ctx.obs(r);
+            (o.trace, o.t_front_done)
         };
         let track = ctx.links[self.id].name;
         ctx.req_span(trace, track, ntier_trace::LINGER_CLOSE, t_done, now, q);
@@ -246,20 +241,25 @@ impl WebNode {
 
     /// The downstream tier's response arrived: run post-processing CPU.
     fn req_reply(&self, r: ReqId, now: SimTime, ctx: &mut Ctx, q: &mut SimQueue<'_, '_>) {
-        let (ni, demand_ms, rep, trace, t_interact) = {
+        let (ni, demand_ms, rep, t_interact) = {
             let req = ctx.requests.get_mut(r);
             req.backend_interact_secs += now.saturating_sub(req.t_backend_start).as_secs_f64();
             req.phase = ReqPhase::FrontPost;
-            req.t_front_post_start = now;
-            let inter = ctx.catalog.get(req.interaction);
+            let inter = ctx.catalog.get(req.interaction.into());
             (
                 ctx.links[self.id].base + req.route[self.id] as usize,
                 ctx.cfg.params.apache_post_ms
                     + inter.static_requests as f64 * ctx.cfg.params.static_ms,
                 req.route[self.id] as usize,
-                req.trace,
                 req.t_backend_start,
             )
+        };
+        let trace = match ctx.obs_mut(r) {
+            Some(o) => {
+                o.t_front_post_start = now;
+                o.trace
+            }
+            None => ntier_trace::ENGINE_TRACE,
         };
         let track = ctx.links[self.id].name;
         ctx.req_span(
@@ -321,7 +321,7 @@ impl AppNode {
         let (ni, demand_ms) = {
             let req = ctx.requests.get_mut(r);
             req.t_arrive_app = now;
-            let inter = ctx.catalog.get(req.interaction);
+            let inter = ctx.catalog.get(req.interaction.into());
             (
                 ctx.links[self.id].base + req.route[self.id] as usize,
                 inter.tomcat_ms * ctx.cfg.params.tomcat_scale,
@@ -353,11 +353,8 @@ impl AppNode {
             // Only the first slice enters through the thread-pool queue;
             // later slices resume after a query with the thread still held.
             let first_slice = req.phase == ReqPhase::WaitAppThread;
-            if first_slice {
-                req.t_thread_granted = now;
-            }
             req.phase = ReqPhase::AppCpu;
-            let inter = ctx.catalog.get(req.interaction);
+            let inter = ctx.catalog.get(req.interaction.into());
             let slices = (inter.queries + 1) as f64;
             (
                 ctx.links[self.id].base + req.route[self.id] as usize,
@@ -367,9 +364,13 @@ impl AppNode {
             )
         };
         if first_slice {
-            let (trace, t_arrive) = {
-                let req = ctx.requests.get(r);
-                (req.trace, req.t_arrive_app)
+            let t_arrive = ctx.requests.get(r).t_arrive_app;
+            let trace = match ctx.obs_mut(r) {
+                Some(o) => {
+                    o.t_thread_granted = now;
+                    o.trace
+                }
+                None => ntier_trace::ENGINE_TRACE,
             };
             let track = ctx.links[self.id].name;
             ctx.req_span(trace, track, ntier_trace::THREAD_WAIT, t_arrive, now, q);
@@ -387,7 +388,7 @@ impl AppNode {
         }
         let (ni, rep, more_queries) = {
             let req = ctx.requests.get(r);
-            let inter = ctx.catalog.get(req.interaction);
+            let inter = ctx.catalog.get(req.interaction.into());
             (
                 ctx.links[self.id].base + req.route[self.id] as usize,
                 req.route[self.id] as usize,
@@ -395,10 +396,9 @@ impl AppNode {
             )
         };
         if more_queries {
-            {
-                let req = ctx.requests.get_mut(r);
-                req.phase = ReqPhase::WaitDbConn;
-                req.t_conn_wait_start = now;
+            ctx.requests.get_mut(r).phase = ReqPhase::WaitDbConn;
+            if let Some(o) = ctx.obs_mut(r) {
+                o.t_conn_wait_start = now;
             }
             let pool = ctx.nodes[ni]
                 .conn_pool
@@ -410,9 +410,10 @@ impl AppNode {
             }
         } else {
             // All queries done: respond upstream and release the thread.
-            let (trace, t_arrive, t_granted) = {
-                let req = ctx.requests.get(r);
-                (req.trace, req.t_arrive_app, req.t_thread_granted)
+            let t_arrive = ctx.requests.get(r).t_arrive_app;
+            let (trace, t_granted) = {
+                let o = ctx.obs(r);
+                (o.trace, o.t_thread_granted)
             };
             ctx.nodes[ni].log.record(t_arrive, now);
             let track = ctx.links[self.id].name;
@@ -440,15 +441,18 @@ impl AppNode {
 
     fn issue_query(&self, r: ReqId, now: SimTime, ctx: &mut Ctx, q: &mut SimQueue<'_, '_>) {
         let (is_write, interaction) = {
-            let req = ctx.requests.get(r);
-            let inter = ctx.catalog.get(req.interaction);
-            (req.queries_done < inter.write_queries, req.interaction)
-        };
-        let (trace, t_wait) = {
             let req = ctx.requests.get_mut(r);
             req.phase = ReqPhase::QueryInFlight;
-            req.t_query_issued = now;
-            (req.trace, req.t_conn_wait_start)
+            let interaction = req.interaction.into();
+            let inter = ctx.catalog.get(interaction);
+            (req.queries_done < inter.write_queries, interaction)
+        };
+        let (trace, t_wait) = match ctx.obs_mut(r) {
+            Some(o) => {
+                o.t_query_issued = now;
+                (o.trace, o.t_conn_wait_start)
+            }
+            None => (ntier_trace::ENGINE_TRACE, SimTime::ZERO),
         };
         let track = ctx.links[self.id].name;
         ctx.req_span(trace, track, ntier_trace::CONN_WAIT, t_wait, now, q);
@@ -539,8 +543,8 @@ impl AppNode {
         }
         // Demand observed at the database settles into the request's
         // attribution vector here (back shards never touch `requests`).
-        if rw.demand != 0.0 {
-            ctx.requests.get_mut(r).demand_secs[down] += rw.demand;
+        if let Some(o) = ctx.obs_mut(r) {
+            o.demand_secs[down] += rw.demand;
         }
         if done {
             // The result set is consumed by the JDBC driver while the app
@@ -573,22 +577,22 @@ impl AppNode {
         }
         // Downstream service demand rides the wire home: middleware CPU to
         // the middleware tier, database CPU to the tier below it.
-        if dw.mw_demand != 0.0 {
-            ctx.requests.get_mut(r).demand_secs[down] += dw.mw_demand;
+        let db_t = ctx.links[down].down.unwrap_or(down);
+        if let Some(o) = ctx.obs_mut(r) {
+            o.demand_secs[down] += dw.mw_demand;
+            o.demand_secs[db_t] += dw.db_demand;
         }
-        if dw.db_demand != 0.0 {
-            let db_t = ctx.links[down].down.unwrap_or(down);
-            ctx.requests.get_mut(r).demand_secs[db_t] += dw.db_demand;
-        }
-        let (ni, trace, t_issued, deadline) = {
+        let (ni, deadline) = {
             let req = ctx.requests.get_mut(r);
             req.queries_done += 1;
             (
                 ctx.links[self.id].base + req.route[self.id] as usize,
-                req.trace,
-                req.t_query_issued,
                 req.deadline_exceeded,
             )
+        };
+        let (trace, t_issued) = {
+            let o = ctx.obs(r);
+            (o.trace, o.t_query_issued)
         };
         // The fan-out child as the app thread sees it: DB connection held
         // from issue to reply consumption (the paper's `t1'`/`t2'` periods).

@@ -31,22 +31,29 @@ fn profile_is_coherent_with_the_run_it_measured() {
     assert!(profile.wall_secs > 0.0);
     assert!(profile.events_per_sec() > 0.0);
     assert!(profile.queue_high_water > 0);
-    // Pop and dispatch are disjoint phases inside the run loop, estimated
-    // from a 1-in-64 cycle sample whose cycles carry their own clock-read
-    // cost — so the estimate can overshoot the wall clock somewhat, but
-    // must stay the same order of magnitude. The faster the event loop,
-    // the larger the fixed clock-read cost looms in each sampled cycle
-    // (worse still on a loaded machine), so the bound is 3x, not tighter.
-    // Scheduling is a measured sub-phase of dispatch (plus pre-run
-    // seeding), not an addend.
+    // Pop, dispatch and scheduling are disjoint phases of the run loop,
+    // estimated from 1-in-64 cycle samples with the clock probes' own cost
+    // taken out, so together they stay within 1.1x of the wall clock. A
+    // preemption that lands in a sampled cycle is scaled 64x, so the bound
+    // must hold in one of three runs.
+    let within =
+        |p: &EngineProfile| p.pop_secs + p.dispatch_secs + p.sched_secs <= 1.1 * p.wall_secs;
+    let mut runs = vec![profile.clone()];
+    while !within(runs.last().unwrap()) && runs.len() < 3 {
+        runs.push(
+            run_system_profiled(cfg.clone())
+                .profile
+                .expect("profiled run carries profile"),
+        );
+    }
     assert!(
-        profile.pop_secs + profile.dispatch_secs <= profile.wall_secs * 3.0,
-        "pop {} + dispatch {} not within 3x of wall {}",
-        profile.pop_secs,
-        profile.dispatch_secs,
-        profile.wall_secs
+        within(runs.last().unwrap()),
+        "pop + dispatch + sched exceed 1.1x wall in every run: {:?}",
+        runs.iter()
+            .map(|p| (p.pop_secs, p.dispatch_secs, p.sched_secs, p.wall_secs))
+            .collect::<Vec<_>>()
     );
-    assert!(profile.sched_secs >= 0.0);
+    assert!(profile.dispatch_secs > 0.0);
     // Per-type counts partition the processed events.
     let per_type: u64 = profile.per_type.iter().map(|&(_, n)| n).sum();
     assert_eq!(per_type, profile.events_processed);
@@ -82,7 +89,7 @@ fn shard_profile_partitions_the_run() {
     for s in &profile.shards {
         assert!(s.events_processed > 0, "idle shard {}", s.shard);
         assert!(
-            s.busy_secs <= profile.wall_secs * 1.5,
+            s.busy_secs <= profile.wall_secs,
             "shard {} busy {} vs wall {}",
             s.shard,
             s.busy_secs,
@@ -103,19 +110,19 @@ fn profiling_overhead_is_small() {
     // Warm-up run so neither timed variant pays first-touch costs.
     let _ = run_system(cfg.clone());
 
-    let best = |profile: bool| -> f64 {
-        (0..3)
-            .map(|_| {
-                let mut c = cfg.clone();
-                c.profile = profile;
-                let t = Instant::now();
-                let _ = run_system(c);
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+    let time = |profile: bool| -> f64 {
+        let mut c = cfg.clone();
+        c.profile = profile;
+        let t = Instant::now();
+        let _ = run_system(c);
+        t.elapsed().as_secs_f64()
     };
-    let off = best(false);
-    let on = best(true);
+    // Interleaved, so a slow phase of the host hits both variants alike.
+    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        off = off.min(time(false));
+        on = on.min(time(true));
+    }
     let limit = if cfg!(debug_assertions) { 1.60 } else { 1.10 };
     assert!(
         on <= off * limit,
