@@ -378,7 +378,10 @@ impl<E> EventQueue<E> {
     #[inline]
     pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         if !self.started {
-            self.staged.sort_by_key(|s| Reverse(s.key()));
+            // `(at, seq)` keys are unique, so the unstable sort yields the
+            // same order as a stable one without its scratch buffer (half
+            // the lane: ~28 MB at a million sessions).
+            self.staged.sort_unstable_by_key(|s| Reverse(s.key()));
             self.started = true;
         }
         let staged = self.staged.last().map(Scheduled::key);
@@ -650,6 +653,31 @@ mod tests {
             );
         }
         assert!(staged.pop().is_none() && pushed.pop().is_none());
+
+        // Most arrivals share a handful of timestamps and are staged out of
+        // key order, so the lane's sort has to break ties on the key alone.
+        let n = 20_000u64;
+        let mut staged = EventQueue::new();
+        let mut pushed = EventQueue::new();
+        for i in 0..n {
+            // 7 919 is prime and coprime to `n`: a permutation of 0..n.
+            let key = i * 7_919 % n;
+            let at = if key.is_multiple_of(3) {
+                500
+            } else {
+                key % 4 * 250
+            };
+            staged.stage_keyed(SimTime::from_micros(at), key, key);
+            pushed.push_keyed(SimTime::from_micros(at), key, key);
+        }
+        loop {
+            let a = staged.pop().map(|s| (s.at, s.seq, s.event));
+            let b = pushed.pop().map(|s| (s.at, s.seq, s.event));
+            assert_eq!(a, b, "staged lane diverged on tied timestamps");
+            if a.is_none() {
+                break;
+            }
+        }
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! engine in `ntier-lab`) can get all three from a single run.
 
 use super::*;
-use ntier_trace::FlightSummary;
+use ntier_trace::{FlightSummary, SpanLog};
 use simcore::{EngineStats, ShardedEngine};
 
 /// Everything a traced run captures beyond the aggregate [`RunOutput`]:
 /// the span stream, sampling/ring counters, and engine telemetry.
 #[derive(Debug, Clone)]
 pub struct RunTrace {
-    /// Span stream in ring order (oldest surviving span first). Empty when
-    /// tracing was off.
-    pub spans: Vec<Span>,
+    /// Span stream: each shard's ring, kept packed as one segment, in shard
+    /// order (front shard first), then oldest surviving span first within
+    /// each ring. Empty when tracing was off.
+    pub spans: SpanLog,
     /// Requests admitted by head sampling.
     pub admitted: u64,
     /// Requests rejected by head sampling.
@@ -35,7 +36,7 @@ pub struct RunTrace {
 impl RunTrace {
     /// Per-tier summary (Table I view) over the measurement window.
     pub fn summary(&self) -> ntier_trace::TraceSummary {
-        ntier_trace::summarize(self.spans.iter(), self.window.0, self.window.1)
+        ntier_trace::summarize(&self.spans, self.window.0, self.window.1)
     }
 }
 
@@ -215,6 +216,7 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
         .map(|t| (t.admitted(), t.rejected()))
         .unwrap_or((0, 0));
     let overwritten: u64 = tracers.iter().map(|t| t.overwritten()).sum();
+    let spans: SpanLog = tracers.into_iter().collect();
     // An exemplar is only citable when every span it observed survived the
     // ring; after any overwrite, cross-check retained traces against the
     // surviving span counts (same relevance filter the recorder buffers
@@ -234,9 +236,9 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
                 retained[i] = true;
             }
             let mut surviving: Vec<u32> = vec![0; retained.len()];
-            for s in tracers.iter().flat_map(|t| t.iter()) {
+            for s in &spans {
                 let i = s.trace as usize;
-                if retained.get(i).copied().unwrap_or(false) && f.observes(s) {
+                if retained.get(i).copied().unwrap_or(false) && f.observes(&s) {
                     surviving[i] += 1;
                 }
             }
@@ -247,9 +249,8 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
         Box::new(summary)
     });
     let mut out = system.ctx.into_output(events);
-    out.profile = profile;
     let trace = RunTrace {
-        spans: tracers.into_iter().flat_map(Tracer::into_spans).collect(),
+        spans,
         admitted,
         rejected,
         overwritten,
@@ -257,5 +258,12 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
         window: (measure_start, measure_end),
         flight,
     };
+    // The engine profile is taken before teardown; the process high-water
+    // can still rise while the shards are merged and the trace assembled,
+    // so the peak is read again once everything the caller gets exists.
+    out.profile = profile.map(|mut p| {
+        p.peak_rss_bytes = simcore::peak_rss_bytes();
+        p
+    });
     (out, trace, metrics)
 }

@@ -2,16 +2,20 @@
 
 use crate::json::{obj, Json};
 use crate::tracer::Span;
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 /// Export spans as JSON Lines, one span per line, in recording order.
+/// Takes spans by reference (`&[Span]`) or by value (a
+/// [`SpanLog`](crate::SpanLog), which decodes as it iterates).
 ///
 /// Every field is a string or an integer microsecond count — no float
 /// formatting — so a given span sequence always renders to byte-identical
 /// output (the determinism contract tested at the workspace root).
-pub fn to_jsonl<'a>(spans: impl IntoIterator<Item = &'a Span>) -> String {
+pub fn to_jsonl(spans: impl IntoIterator<Item = impl Borrow<Span>>) -> String {
     let mut out = String::new();
     for s in spans {
+        let s = s.borrow();
         let _ = writeln!(
             out,
             r#"{{"trace":{},"track":"{}","name":"{}","start_us":{},"end_us":{}}}"#,
@@ -25,11 +29,12 @@ pub fn to_jsonl<'a>(spans: impl IntoIterator<Item = &'a Span>) -> String {
 /// `chrome://tracing`). One process, one thread ("track") per tier; every
 /// span is a complete (`"X"`) event, and GC pauses additionally emit an
 /// instant (`"i"`) marker so they stand out on a zoomed-out timeline.
-pub fn to_chrome<'a>(spans: impl IntoIterator<Item = &'a Span> + Clone) -> String {
+pub fn to_chrome(spans: impl IntoIterator<Item = impl Borrow<Span>>) -> String {
     let mut tracks: Vec<&'static str> = Vec::new();
     let mut events: Vec<Json> = Vec::new();
 
     for s in spans {
+        let s = s.borrow();
         let tid = match tracks.iter().position(|t| *t == s.track) {
             Some(i) => i,
             None => {
@@ -115,7 +120,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_line_per_span_and_integer_only() {
-        let out = to_jsonl(&spans());
+        let out = to_jsonl(spans());
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(
@@ -130,12 +135,41 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_tracks_durations_and_gc_instant() {
-        let out = to_chrome(&spans());
+        let out = to_chrome(spans());
         assert!(out.contains(r#""traceEvents""#));
         assert!(out.contains(r#""ph":"X""#));
         assert!(out.contains(r#""dur":150"#));
         assert!(out.contains(r#""ph":"i""#), "GC instant marker missing");
         assert!(out.contains(r#""thread_name""#));
         assert!(out.contains(r#""name":"C-JDBC""#));
+    }
+
+    #[test]
+    fn a_span_log_exports_like_the_same_spans_in_a_vec() {
+        use crate::{SpanLog, TraceConfig, Tracer};
+        let all: Vec<Span> = (0..5)
+            .map(|i| Span {
+                trace: i,
+                ..spans()[i as usize % 2]
+            })
+            .collect();
+        let mysql = |s: &Span| Span {
+            track: "MySQL",
+            ..*s
+        };
+        // The front ring wraps and keeps spans 1..4; the back ring keeps 4.
+        let mut front = Tracer::with_capacity(TraceConfig::Full, 0, 3);
+        let mut back = Tracer::with_capacity(TraceConfig::Full, 0, 3);
+        all[..4].iter().for_each(|s| front.push(*s));
+        all[4..].iter().for_each(|s| back.push(mysql(s)));
+        let kept: Vec<Span> = all[1..4]
+            .iter()
+            .copied()
+            .chain(all[4..].iter().map(mysql))
+            .collect();
+        let log: SpanLog = [front, back].into_iter().collect();
+        assert_eq!(to_jsonl(&log), to_jsonl(&kept));
+        assert_eq!(to_jsonl(log.iter()), to_jsonl(kept.iter()));
+        assert_eq!(to_chrome(&log), to_chrome(&kept));
     }
 }

@@ -39,7 +39,7 @@ pub use flight::{
     FlightWindow,
 };
 pub use summary::{summarize, TierStats, TraceSummary};
-pub use tracer::{Span, TraceConfig, TraceId, Tracer, ENGINE_TRACE};
+pub use tracer::{Span, SpanLog, TraceConfig, TraceId, Tracer, ENGINE_TRACE};
 
 /// Span name: a full tier residence (mirrors one `ServerLog::record` call).
 pub const RESIDENCE: &str = "residence";

@@ -5,6 +5,7 @@
 use crate::tracer::Span;
 use crate::{GC_PAUSE, RESIDENCE};
 use simcore::SimTime;
+use std::borrow::Borrow;
 
 /// Per-tier observables reconstructed from residence spans.
 #[derive(Debug, Clone)]
@@ -58,8 +59,8 @@ fn overlap_secs(s: &Span, begin: SimTime, end: SimTime) -> f64 {
 /// the window — the same rule `ServerLog::record` uses, so a `Full` traced
 /// run must agree with the aggregate path. `mean_jobs` integrates partial
 /// overlap, matching the time-weighted sampler.
-pub fn summarize<'a>(
-    spans: impl IntoIterator<Item = &'a Span> + Clone,
+pub fn summarize(
+    spans: impl IntoIterator<Item = impl Borrow<Span>> + Clone,
     begin: SimTime,
     end: SimTime,
 ) -> TraceSummary {
@@ -69,16 +70,18 @@ pub fn summarize<'a>(
         .max(f64::MIN_POSITIVE);
 
     // Collect GC pauses per track first (few of them; linear rescan is fine).
-    let gc: Vec<&Span> = spans
+    let gc: Vec<Span> = spans
         .clone()
         .into_iter()
-        .filter(|s| s.name == GC_PAUSE)
+        .filter(|s| s.borrow().name == GC_PAUSE)
+        .map(|s| *s.borrow())
         .collect();
 
     let mut tiers: Vec<TierStats> = Vec::new();
     let mut trace_ids: Vec<u64> = Vec::new();
 
     for s in spans {
+        let s = s.borrow();
         if s.name != RESIDENCE {
             continue;
         }

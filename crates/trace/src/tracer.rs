@@ -89,9 +89,162 @@ impl Span {
     }
 }
 
-/// Default ring capacity: 1 M spans ≈ 40 MB, enough for a full 7 800-user
-/// trial under `TraceConfig::Full` while keeping memory bounded.
+/// Default ring capacity: 1 M spans = 32 MiB packed (see [`SpanLog`]),
+/// enough for a full 7 800-user trial under `TraceConfig::Full` while
+/// keeping memory bounded.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
+
+/// A span as the ring stores it: the three integers of a [`Span`] plus
+/// one-byte indexes into its segment's track and name tables, so a stored
+/// span takes 32 bytes instead of the 56 of a `Span` with its two string
+/// slices.
+#[derive(Debug, Clone, Copy)]
+struct PackedSpan {
+    trace: TraceId,
+    start: SimTime,
+    end: SimTime,
+    track: u8,
+    name: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedSpan>() <= 32);
+
+/// Packed spans plus the distinct track and name strings they index,
+/// interned on push. Names are a closed set of constants, but tracks come
+/// from the topology's tier names, so the tables belong to the segment:
+/// a custom tier name decodes like a built-in one.
+#[derive(Debug, Clone, Default)]
+struct Segment {
+    spans: Vec<PackedSpan>,
+    tracks: Vec<&'static str>,
+    names: Vec<&'static str>,
+}
+
+/// Iteration starts "inside" this segment, so the iterator needs no
+/// `Option` for its current segment.
+static EMPTY: Segment = Segment {
+    spans: Vec::new(),
+    tracks: Vec::new(),
+    names: Vec::new(),
+};
+
+impl Segment {
+    fn pack(&mut self, span: Span) -> PackedSpan {
+        PackedSpan {
+            trace: span.trace,
+            start: span.start,
+            end: span.end,
+            track: intern(&mut self.tracks, span.track),
+            name: intern(&mut self.names, span.name),
+        }
+    }
+
+    #[inline]
+    fn unpack(&self, p: &PackedSpan) -> Span {
+        Span {
+            trace: p.trace,
+            track: self.tracks[p.track as usize],
+            name: self.names[p.name as usize],
+            start: p.start,
+            end: p.end,
+        }
+    }
+}
+
+/// Index of `s` in `table`, appending it on first sight. The same constant
+/// usually sits at one address, so a pointer scan settles almost every
+/// lookup before any string is compared.
+#[inline]
+fn intern(table: &mut Vec<&'static str>, s: &'static str) -> u8 {
+    let i = match table.iter().position(|t| std::ptr::eq(*t, s)) {
+        Some(i) => i,
+        None => match table.iter().position(|t| *t == s) {
+            Some(i) => i,
+            None => {
+                table.push(s);
+                table.len() - 1
+            }
+        },
+    };
+    u8::try_from(i).expect("a span segment interns at most 256 distinct tracks and names")
+}
+
+/// The spans a traced run kept: each shard's ring as one packed segment,
+/// in shard order, each oldest-first — so iteration yields exactly the
+/// rings concatenated front shard first. Spans stay packed (32 bytes
+/// each) and decode as they are iterated; nothing is merged or copied.
+#[derive(Debug, Clone, Default)]
+pub struct SpanLog {
+    segments: Vec<Segment>,
+}
+
+impl SpanLog {
+    /// Number of spans across all segments.
+    pub fn len(&self) -> usize {
+        self.segments.iter().map(|s| s.spans.len()).sum()
+    }
+
+    /// True when no segment holds a span.
+    pub fn is_empty(&self) -> bool {
+        self.segments.iter().all(|s| s.spans.is_empty())
+    }
+
+    /// Spans in shard order, then oldest-first within each ring.
+    pub fn iter(&self) -> SpanLogIter<'_> {
+        SpanLogIter {
+            segments: self.segments.iter(),
+            segment: &EMPTY,
+            spans: [].iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a SpanLog {
+    type Item = Span;
+    type IntoIter = SpanLogIter<'a>;
+
+    fn into_iter(self) -> SpanLogIter<'a> {
+        self.iter()
+    }
+}
+
+impl FromIterator<Tracer> for SpanLog {
+    /// One segment per tracer, in iteration order. Each ring is rotated in
+    /// place to oldest-first, so no span is copied into a second buffer.
+    fn from_iter<I: IntoIterator<Item = Tracer>>(tracers: I) -> Self {
+        let segments = tracers
+            .into_iter()
+            .map(|mut t| {
+                t.ring.spans.rotate_left(t.head);
+                t.ring
+            })
+            .collect();
+        SpanLog { segments }
+    }
+}
+
+/// Decoding iterator over a [`SpanLog`].
+#[derive(Debug, Clone)]
+pub struct SpanLogIter<'a> {
+    segments: std::slice::Iter<'a, Segment>,
+    segment: &'a Segment,
+    spans: std::slice::Iter<'a, PackedSpan>,
+}
+
+impl Iterator for SpanLogIter<'_> {
+    type Item = Span;
+
+    #[inline]
+    fn next(&mut self) -> Option<Span> {
+        loop {
+            if let Some(p) = self.spans.next() {
+                return Some(self.segment.unpack(p));
+            }
+            self.segment = self.segments.next()?;
+            self.spans = self.segment.spans.iter();
+        }
+    }
+}
 
 /// Bounded span sink. When the ring is full the *oldest* spans are
 /// overwritten (the tail of a run is usually what is being debugged), and the
@@ -100,7 +253,7 @@ pub const DEFAULT_CAPACITY: usize = 1 << 20;
 pub struct Tracer {
     config: TraceConfig,
     seed: u64,
-    ring: Vec<Span>,
+    ring: Segment,
     capacity: usize,
     head: usize,
     overwritten: u64,
@@ -120,7 +273,7 @@ impl Tracer {
         Tracer {
             config,
             seed,
-            ring: Vec::new(),
+            ring: Segment::default(),
             capacity,
             head: 0,
             overwritten: 0,
@@ -147,10 +300,11 @@ impl Tracer {
 
     /// Record a span. O(1), allocation-free once the ring is warm.
     pub fn push(&mut self, span: Span) {
-        if self.ring.len() < self.capacity {
-            self.ring.push(span);
+        let packed = self.ring.pack(span);
+        if self.ring.spans.len() < self.capacity {
+            self.ring.spans.push(packed);
         } else {
-            self.ring[self.head] = span;
+            self.ring.spans[self.head] = packed;
             self.head = (self.head + 1) % self.capacity;
             self.overwritten += 1;
         }
@@ -158,12 +312,12 @@ impl Tracer {
 
     /// Number of spans currently held.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.ring.spans.len()
     }
 
     /// True when no spans were recorded.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.spans.is_empty()
     }
 
     /// Spans lost to ring overwrite.
@@ -179,19 +333,6 @@ impl Tracer {
     /// Traces rejected by head sampling.
     pub fn rejected(&self) -> u64 {
         self.rejected
-    }
-
-    /// Spans in recording order (oldest surviving span first).
-    pub fn iter(&self) -> impl Iterator<Item = &Span> {
-        self.ring[self.head..]
-            .iter()
-            .chain(self.ring[..self.head].iter())
-    }
-
-    /// Drain into a plain `Vec` in recording order.
-    pub fn into_spans(mut self) -> Vec<Span> {
-        self.ring.rotate_left(self.head);
-        self.ring
     }
 }
 
@@ -237,18 +378,85 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_spans_in_order() {
+        let names = [crate::SERVICE, crate::QUERY, crate::GC_PAUSE];
+        let pushed: Vec<Span> = (0..7u64)
+            .map(|i| Span {
+                name: names[i as usize % names.len()],
+                ..span(i, i * 100)
+            })
+            .collect();
         let mut t = Tracer::with_capacity(TraceConfig::Full, 0, 4);
-        for i in 0..7u64 {
-            t.push(span(i, i * 100));
+        for s in &pushed {
+            t.push(*s);
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.overwritten(), 3);
-        let traces: Vec<TraceId> = t.iter().map(|s| s.trace).collect();
-        assert_eq!(traces, vec![3, 4, 5, 6]);
-        assert_eq!(
-            t.into_spans().iter().map(|s| s.trace).collect::<Vec<_>>(),
-            vec![3, 4, 5, 6]
-        );
+        let log: SpanLog = [t].into_iter().collect();
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.iter().collect::<Vec<_>>(), pushed[3..]);
+    }
+
+    #[test]
+    fn custom_track_names_decode() {
+        // A tier name that is not one of the paper's four, built at run time
+        // the way a topology file would supply it.
+        let custom: &'static str = Box::leak(String::from("Redis-cache").into_boxed_str());
+        let mut t = Tracer::new(TraceConfig::Full, 0);
+        t.push(span(1, 0));
+        t.push(Span {
+            track: custom,
+            ..span(2, 50)
+        });
+        let log: SpanLog = [t].into_iter().collect();
+        let got: Vec<&str> = log.iter().map(|s| s.track).collect();
+        assert_eq!(got, ["Apache", "Redis-cache"]);
+    }
+
+    #[test]
+    fn equal_strings_at_different_addresses_share_an_index() {
+        let a: &'static str = Box::leak(String::from("Tomcat").into_boxed_str());
+        let b: &'static str = Box::leak(String::from("Tomcat").into_boxed_str());
+        let mut seg = Segment::default();
+        let pa = seg.pack(Span {
+            track: a,
+            ..span(1, 0)
+        });
+        let pb = seg.pack(Span {
+            track: b,
+            ..span(2, 0)
+        });
+        assert_eq!(pa.track, pb.track);
+        assert_eq!(seg.tracks.len(), 1);
+    }
+
+    #[test]
+    fn log_iterates_segments_in_shard_order() {
+        let mut front = Tracer::with_capacity(TraceConfig::Full, 0, 3);
+        let mut back = Tracer::with_capacity(TraceConfig::Full, 0, 3);
+        for i in 0..5u64 {
+            front.push(span(i, i));
+        }
+        for i in 10..12u64 {
+            back.push(Span {
+                track: "MySQL",
+                ..span(i, i)
+            });
+        }
+        let log: SpanLog = [front, back].into_iter().collect();
+        assert_eq!(log.segments.len(), 2);
+        assert_eq!(log.len(), 5);
+        let traces: Vec<TraceId> = (&log).into_iter().map(|s| s.trace).collect();
+        assert_eq!(traces, [2, 3, 4, 10, 11]);
+        assert_eq!(log.iter().last().unwrap().track, "MySQL");
+    }
+
+    #[test]
+    fn empty_log() {
+        let log: SpanLog = [Tracer::new(TraceConfig::Full, 0)].into_iter().collect();
+        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
+        assert!(SpanLog::default().is_empty());
+        assert_eq!(SpanLog::default().iter().next(), None);
     }
 
     #[test]

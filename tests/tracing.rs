@@ -37,7 +37,8 @@ fn apache_segments_tile_the_request_residence_exactly() {
     assert!(trace.admitted > 100, "admitted={}", trace.admitted);
 
     let mut complete = 0u64;
-    for (id, spans) in by_trace(&trace.spans) {
+    let all: Vec<Span> = trace.spans.iter().collect();
+    for (id, spans) in by_trace(&all) {
         // The five Apache-side segments, in the order the tiling defines.
         let mut segs: Vec<&Span> = ntier_trace::E2E_TILING
             .iter()
