@@ -33,18 +33,6 @@ pub fn spec(hw: HardwareConfig, soft: SoftAllocation, users: u32) -> ExperimentS
     s
 }
 
-/// [`spec`] with an explicit schedule (from [`BenchArgs::schedule`]).
-pub fn spec_scheduled(
-    hw: HardwareConfig,
-    soft: SoftAllocation,
-    users: u32,
-    schedule: Schedule,
-) -> ExperimentSpec {
-    let mut s = spec(hw, soft, users);
-    s.schedule = schedule;
-    s
-}
-
 /// Start a figure's experiment plan from the shared CLI flags: the bench
 /// schedule (honoring `--quick`), passive windowed collection when
 /// `--metrics` was given, and engine profiling when `--profile` was. Add

@@ -420,10 +420,7 @@ mod tests {
     fn threads_and_store_flags() {
         let ok = parse(&["--threads", "4", "--store", "target/lab"]).expect("parses");
         assert_eq!(ok.threads, Some(4));
-        assert_eq!(
-            ok.executor().threads(),
-            if cfg!(feature = "parallel") { 4 } else { 1 }
-        );
+        assert_eq!(ok.executor().threads(), 4);
         assert_eq!(ok.store, Some(PathBuf::from("target/lab")));
         assert!(BenchArgs::default().executor().threads() >= 1);
     }

@@ -29,8 +29,7 @@ impl Executor {
         Executor { threads: 1 }
     }
 
-    /// One worker per available core (a single worker when the crate is
-    /// built without the `parallel` feature).
+    /// One worker per available core.
     pub fn parallel() -> Self {
         Self::with_threads(
             std::thread::available_parallelism()
@@ -39,15 +38,11 @@ impl Executor {
         )
     }
 
-    /// An explicit worker count (min 1; capped at 1 without the `parallel`
-    /// feature so serial builds stay thread-free).
+    /// An explicit worker count (min 1).
     pub fn with_threads(threads: usize) -> Self {
-        let threads = if cfg!(feature = "parallel") {
-            threads.max(1)
-        } else {
-            1
-        };
-        Executor { threads }
+        Executor {
+            threads: threads.max(1),
+        }
     }
 
     /// Number of workers this executor runs.

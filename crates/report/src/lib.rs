@@ -17,27 +17,19 @@
 //!    [`flamegraph::write_flamegraph`] renders a flight-recorder summary
 //!    there too, as folded stacks plus a self-contained critical-path
 //!    icicle script.
-//! 3. **Perf trajectory** — [`BenchReport`] is the schema-versioned format
-//!    of the committed `BENCH_8.json`: per-suite events/sec, wall-clock,
-//!    and peak RSS with a machine fingerprint and regression tolerances,
-//!    written and checked by the `perf` binary in `ntier-bench`.
-//! 4. **Doc regeneration** — [`experiments::patch_marked_section`] splices
+//! 3. **Doc regeneration** — [`experiments::patch_marked_section`] splices
 //!    auto-generated headline numbers into `EXPERIMENTS.md` between
 //!    markers, leaving the hand-written prose untouched.
 //!
 //! Everything here is read-side observability: nothing in this crate
 //! schedules events, draws randomness, or otherwise perturbs simulations.
 
-pub mod bench_json;
 pub mod diff;
 pub mod experiments;
 pub mod flamegraph;
 pub mod render;
 pub mod usl;
 
-pub use bench_json::{
-    BenchComparison, BenchEntry, BenchReport, Fingerprint, Severity, BENCH_SCHEMA_VERSION,
-};
 pub use diff::{
     check_shape, classify_curve, load_sweep, CurveShape, RunDiff, ShapeCheck, SweepPoint,
     SweepSummary,
@@ -51,7 +43,7 @@ use std::io;
 use std::path::PathBuf;
 
 /// Everything that can go wrong while reporting. Reporting is diagnostics,
-/// not simulation — a corrupt store or a malformed baseline must surface as
+/// not simulation — a corrupt store or a missing run point must surface as
 /// an error the caller can print, never a panic.
 #[derive(Debug)]
 pub enum ReportError {
@@ -64,9 +56,6 @@ pub enum ReportError {
         /// Its plan label.
         label: String,
     },
-    /// A JSON document (bench baseline, manifest) did not parse or did not
-    /// match the expected schema.
-    Parse(String),
     /// The data loaded fine but cannot support the requested analysis
     /// (e.g. a sweep with fewer than two points cannot be knee-fitted).
     Shape(String),
@@ -82,7 +71,6 @@ impl fmt::Display for ReportError {
                     "point {label} ({digest:016x}) is not in the store manifest"
                 )
             }
-            ReportError::Parse(msg) => write!(f, "parse error: {msg}"),
             ReportError::Shape(msg) => write!(f, "shape error: {msg}"),
         }
     }
@@ -97,9 +85,9 @@ impl From<io::Error> for ReportError {
 }
 
 /// The workspace root, independent of the current working directory.
-/// Report and bench artifacts are always anchored here so `BENCH_8.json`
-/// and `target/paper-results/report/` land in the same place whether a
-/// binary runs from the workspace root, a package directory, or CI.
+/// Report artifacts are always anchored here, so
+/// `target/paper-results/report/` is the same directory whether a binary
+/// runs from the workspace root, a package directory, or CI.
 pub fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -123,6 +111,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("conservative@400"));
         assert!(msg.contains("00000000000000ab"));
-        assert!(ReportError::Parse("x".into()).to_string().contains("x"));
     }
 }

@@ -32,7 +32,7 @@ pub mod stats;
 pub mod testkit;
 pub mod time;
 
-pub use profile::{peak_rss_bytes, EngineProfile, EngineStats, ShardLoad};
+pub use profile::{peak_rss_bytes, EngineProfile, ShardLoad};
 pub use queue::{CalendarBackend, Scheduled};
 pub use rng::RunRng;
 pub use shard::{shard_key, ShardIo, ShardModel, ShardedEngine, SHARD_KEY_BITS};

@@ -14,48 +14,20 @@
 //! opts in), so the hot path of an unprofiled run pays one untaken branch
 //! per event.
 
-/// Telemetry snapshot of an engine run (see
-/// [`ShardedEngine::stats`](crate::ShardedEngine::stats)).
-#[derive(Debug, Clone, Default)]
-pub struct EngineStats {
-    /// Total events processed.
-    pub events_processed: u64,
-    /// Peak number of pending events in any one shard's queue (staged
-    /// arrivals included).
-    pub queue_high_water: usize,
-    /// Allocated capacity of the event queues at snapshot time.
-    pub queue_capacity: usize,
-    /// Wall-clock seconds spent inside `run_until`/`run_to_quiescence`.
-    pub wall_secs: f64,
-    /// Per-event-type counts (only populated with telemetry enabled; the
-    /// labels come from
-    /// [`ShardModel::event_label`](crate::ShardModel::event_label)).
-    pub per_type: Vec<(&'static str, u64)>,
-}
-
-impl EngineStats {
-    /// Events processed per wall-clock second (0 when nothing was timed).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events_processed as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Phase-timing and counter profile of one engine run.
 ///
 /// Captured with [`ShardedEngine::profile`](crate::ShardedEngine::profile)
-/// after a run with profiling enabled. Phase seconds (`pop_secs`,
-/// `dispatch_secs`, `sched_secs`) are whole-run *estimates*: the engine times a
-/// deterministic 1-in-64 sample of event cycles (clock reads on every
-/// cycle would dominate the loop) and scales the sampled sums by the
-/// sampling fraction. The three phases are disjoint and the clock probes'
-/// own cost (measured inside the loop) is taken out of every sampled
-/// interval, so `pop_secs + dispatch_secs + sched_secs` estimates the loop's
-/// time spent in events and stays near or below `wall_secs`. They remain
-/// estimates: a preemption that lands in a sampled cycle counts 64 times.
+/// after any run. The counters are always filled; the per-kind counts need
+/// telemetry, and the phase seconds need profiling (they stay 0 without it).
+/// Phase seconds (`pop_secs`, `dispatch_secs`, `sched_secs`) are whole-run
+/// *estimates*: the engine times a deterministic 1-in-64 sample of event
+/// cycles (clock reads on every cycle would dominate the loop) and scales
+/// the sampled sums by the sampling fraction. The three phases are disjoint
+/// and the clock probes' own cost (measured inside the loop) is taken out of
+/// every sampled interval, so `pop_secs + dispatch_secs + sched_secs`
+/// estimates the loop's time spent in events and stays near or below
+/// `wall_secs`. They remain estimates: a preemption that lands in a sampled
+/// cycle counts 64 times.
 #[derive(Debug, Clone, Default)]
 pub struct EngineProfile {
     /// Total events processed.
@@ -126,17 +98,6 @@ impl EngineProfile {
             self.events_processed as f64 / self.wall_secs
         } else {
             0.0
-        }
-    }
-
-    /// The run's [`EngineStats`] view of this profile.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            events_processed: self.events_processed,
-            queue_high_water: self.queue_high_water,
-            queue_capacity: self.queue_capacity,
-            wall_secs: self.wall_secs,
-            per_type: self.per_type.clone(),
         }
     }
 
@@ -227,7 +188,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// A reading of 0 is treated as "no probe" rather than a measurement: no
 /// live process has a zero high-water mark, so a zero can only come from a
 /// broken or synthetic `/proc`, and reporting it as a number would poison
-/// `BENCH_*.json` peak-RSS deltas with garbage.
+/// peak-RSS comparisons with garbage.
 #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 fn parse_vm_hwm(status: &str) -> Option<u64> {
     for line in status.lines() {

@@ -43,7 +43,7 @@
 //! function of the simulation alone. Anything still pending when the run
 //! stops is delivered by [`ShardedEngine::finish_observations`].
 
-use crate::profile::{peak_rss_bytes, EngineProfile, EngineStats, ShardLoad};
+use crate::profile::{peak_rss_bytes, EngineProfile, ShardLoad};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -471,18 +471,35 @@ impl<M: ShardModel> ShardedEngine<M> {
         }
     }
 
-    /// Merged engine telemetry: event counts summed across shards, queue
-    /// high-water the **maximum** of any one shard (capacity planning reads
-    /// it as "largest single event list"), capacity summed.
-    pub fn stats(&self) -> EngineStats {
+    /// Merged engine profile. Event counts are summed across shards, the
+    /// queue high-water is the **maximum** of any one shard (capacity
+    /// planning reads it as "largest single event list"), and capacity is
+    /// summed. Per-kind counts need telemetry on.
+    ///
+    /// The phase seconds need profiling on (they stay 0 otherwise): each
+    /// shard's sampled pop, dispatch and push seconds scaled by its own
+    /// sampling fraction, then summed over shards. The three phases are
+    /// disjoint (pushes count toward the shard whose event made them), so
+    /// together they estimate the time the run loop spent in events. They
+    /// are estimates, not a partition of wall-clock: a preemption that lands
+    /// in a sampled cycle counts 64 times. Per-shard busy seconds (the
+    /// shard's three phases) ride in [`EngineProfile::shards`].
+    pub fn profile(&self) -> EngineProfile {
         let mut per_type = Vec::new();
         for l in &self.lanes {
             for &(label, n) in &l.per_type {
                 bump(&mut per_type, label, n);
             }
         }
-        EngineStats {
+        let phases: Vec<[f64; 3]> = self.lanes.iter().map(Lane::phases).collect();
+        let phase = |k: usize| phases.iter().map(|p| p[k]).sum();
+        EngineProfile {
             events_processed: self.events_processed(),
+            events_scheduled: self.lanes.iter().map(|l| l.counter).sum(),
+            pop_secs: phase(0),
+            dispatch_secs: phase(1),
+            sched_secs: phase(2),
+            wall_secs: self.wall_secs,
             queue_high_water: self
                 .lanes
                 .iter()
@@ -490,33 +507,7 @@ impl<M: ShardModel> ShardedEngine<M> {
                 .max()
                 .unwrap_or(0),
             queue_capacity: self.lanes.iter().map(|l| l.queue.capacity()).sum(),
-            wall_secs: self.wall_secs,
             per_type,
-        }
-    }
-
-    /// Phase profile: each shard's sampled pop, dispatch and push seconds
-    /// scaled by its own sampling fraction, then summed over shards. The
-    /// three phases are disjoint (pushes count toward the shard whose event
-    /// made them), so together they estimate the time the run loop spent in
-    /// events. They are estimates, not a partition of wall-clock: a
-    /// preemption that lands in a sampled cycle counts 64 times. Per-shard
-    /// busy seconds (the shard's three phases) ride in
-    /// [`EngineProfile::shards`].
-    pub fn profile(&self) -> EngineProfile {
-        let stats = self.stats();
-        let phases: Vec<[f64; 3]> = self.lanes.iter().map(Lane::phases).collect();
-        let phase = |k: usize| phases.iter().map(|p| p[k]).sum();
-        EngineProfile {
-            events_processed: stats.events_processed,
-            events_scheduled: self.lanes.iter().map(|l| l.counter).sum(),
-            pop_secs: phase(0),
-            dispatch_secs: phase(1),
-            sched_secs: phase(2),
-            wall_secs: self.wall_secs,
-            queue_high_water: stats.queue_high_water,
-            queue_capacity: stats.queue_capacity,
-            per_type: stats.per_type,
             peak_rss_bytes: peak_rss_bytes(),
             rounds: 0,
             shards: self
@@ -833,16 +824,14 @@ mod tests {
     }
 
     #[test]
-    fn merged_stats_and_profile_are_coherent() {
+    fn merged_profile_is_coherent() {
         let mut eng = ring(3);
         eng.enable_profiling();
         eng.run_to_quiescence(100_000);
-        let stats = eng.stats();
-        let typed: u64 = stats.per_type.iter().map(|(_, n)| n).sum();
-        assert_eq!(typed, stats.events_processed);
         let p = eng.profile();
-        assert_eq!(p.events_processed, stats.events_processed);
-        assert_eq!(p.queue_high_water, stats.queue_high_water);
+        let typed: u64 = p.per_type.iter().map(|(_, n)| n).sum();
+        assert_eq!(typed, p.events_processed);
+        assert!(p.queue_high_water > 0);
         assert_eq!(p.rounds, 0);
         assert_eq!(p.shards.len(), 3);
         let shard_events: u64 = p.shards.iter().map(|s| s.events_processed).sum();
@@ -966,7 +955,7 @@ mod tests {
             (
                 e.model(0).seen.clone(),
                 e.events_processed(),
-                e.stats().queue_high_water,
+                e.profile().queue_high_water,
             )
         };
         assert_eq!(run(true), run(false));

@@ -215,6 +215,8 @@ pub enum TopologyError {
     UnsupportedChain(String),
     /// More tiers than the per-request routing table supports.
     TooManyTiers(usize),
+    /// More servers across the chain than an event's node index can name.
+    TooManyServers(usize),
     /// A tier with no replicas (or more than `u16::MAX`).
     BadReplicaCount {
         tier: usize,
@@ -249,6 +251,13 @@ impl std::fmt::Display for TopologyError {
                     f,
                     "chain of {n} tiers exceeds MAX_TIERS={}",
                     crate::MAX_TIERS
+                )
+            }
+            TopologyError::TooManyServers(n) => {
+                write!(
+                    f,
+                    "chain of {n} servers exceeds MAX_SERVERS={}",
+                    crate::topology::MAX_SERVERS
                 )
             }
             TopologyError::BadReplicaCount {

@@ -1482,6 +1482,25 @@ mod tests {
     }
 
     #[test]
+    fn chains_beyond_u16_node_indexes_are_rejected() {
+        // Events name a server by its flat index as a u16: 1/2/1/65532 is
+        // 65,536 servers, the most that fit; one more would wrap the last
+        // Db replica's index onto the front Apache node.
+        let soft = SoftAllocation::new(400, 150, 60);
+        let fits = Topology::paper(HardwareConfig::new(1, 2, 1, 65_532), soft);
+        assert!(fits.validate().is_ok());
+        let hw = HardwareConfig::new(1, 2, 1, 65_533);
+        let over = Topology::paper(hw, soft);
+        assert_eq!(over.validate(), Err(TopologyError::TooManyServers(65_537)));
+        let mut cfg = SystemConfig::new(hw, soft, 50);
+        cfg.workload = WorkloadConfig::quick(50);
+        assert_eq!(
+            try_run_system(cfg).err(),
+            Some(TopologyError::TooManyServers(65_537))
+        );
+    }
+
+    #[test]
     fn small_run_completes_requests() {
         let out = run_system(quick_cfg(50));
         assert!(out.completed > 50, "completed={}", out.completed);

@@ -1,6 +1,6 @@
 //! Post-trial conservation checks: freeze the closed loop, drain every
 //! in-flight request, and snapshot pool balance and outcome totals on the
-//! empty system. Pure code motion out of `system.rs`.
+//! empty system.
 
 use super::run::{build_engine, merge_shards, seed_engine_events};
 use super::*;

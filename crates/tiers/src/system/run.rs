@@ -1,13 +1,12 @@
 //! Trial runners: seed the engine, run to `trial_end`, and tear down into
 //! the run summary plus whatever optional instrumentation was enabled.
-//! Pure code motion out of `system.rs`, with one API change:
-//! [`run_system_full`] is now public so callers that want the output, the
+//! [`run_system_full`] is public so callers that want the output, the
 //! trace, *and* the windowed metrics of one trial (the experiment-plan
 //! engine in `ntier-lab`) can get all three from a single run.
 
 use super::*;
 use ntier_trace::{FlightSummary, SpanLog};
-use simcore::{EngineStats, ShardedEngine};
+use simcore::{EngineProfile, ShardedEngine};
 
 /// Everything a traced run captures beyond the aggregate [`RunOutput`]:
 /// the span stream, sampling/ring counters, and engine telemetry.
@@ -23,8 +22,10 @@ pub struct RunTrace {
     pub rejected: u64,
     /// Spans lost to ring-buffer overwrite (0 ⇒ the stream is complete).
     pub overwritten: u64,
-    /// Engine telemetry (event totals, queue high-water, wall-clock rate).
-    pub engine: EngineStats,
+    /// Engine profile: event totals, queue high-water and wall-clock rate
+    /// always; per-kind counts when tracing or profiling was on. The phase
+    /// seconds stay 0 unless [`SystemConfig::profile`] was set.
+    pub engine: EngineProfile,
     /// Measurement window `[start, end)` the aggregates were taken over.
     pub window: (SimTime, SimTime),
     /// Tail-sampled critical-path summary, present when
@@ -203,9 +204,8 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
     // Deliver the observations still pending at the horizon (back-shard
     // spans and GC windows bound for the flight recorder).
     engine.finish_observations();
-    let events = engine.events_processed();
-    let stats = engine.stats();
-    let profile = profiled.then(|| engine.profile());
+    let profile = engine.profile();
+    let events = profile.events_processed;
     let (mut system, tracers) = merge_shards(engine.into_models());
     let recorder = system.ctx.flight.take();
     let metrics = system.ctx.metrics_out.take();
@@ -249,21 +249,19 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
         Box::new(summary)
     });
     let mut out = system.ctx.into_output(events);
-    let trace = RunTrace {
+    let mut trace = RunTrace {
         spans,
         admitted,
         rejected,
         overwritten,
-        engine: stats,
+        engine: profile,
         window: (measure_start, measure_end),
         flight,
     };
     // The engine profile is taken before teardown; the process high-water
     // can still rise while the shards are merged and the trace assembled,
     // so the peak is read again once everything the caller gets exists.
-    out.profile = profile.map(|mut p| {
-        p.peak_rss_bytes = simcore::peak_rss_bytes();
-        p
-    });
+    trace.engine.peak_rss_bytes = simcore::peak_rss_bytes();
+    out.profile = profiled.then(|| trace.engine.clone());
     (out, trace, metrics)
 }

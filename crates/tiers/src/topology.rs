@@ -31,6 +31,10 @@ pub type TierId = usize;
 /// Maximum chain length supported by the per-request routing table.
 pub const MAX_TIERS: usize = 8;
 
+/// Maximum server count across the whole chain: events carry a server's
+/// flat index in the chain as a `u16`.
+pub const MAX_SERVERS: usize = u16::MAX as usize + 1;
+
 /// How a sender picks a replica of a downstream tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectPolicy {
@@ -324,8 +328,9 @@ impl Topology {
     }
 
     /// Check the chain shape the runtime supports: a Web front, one App
-    /// tier, an optional Cmw tier, and a Db back tier, all with ≥1 replica,
-    /// role-appropriate pools, and well-formed fault/timeout/shed specs.
+    /// tier, an optional Cmw tier, and a Db back tier, all with ≥1 replica
+    /// and at most [`MAX_SERVERS`] in total, role-appropriate pools, and
+    /// well-formed fault/timeout/shed specs.
     pub fn validate(&self) -> Result<(), TopologyError> {
         let roles: Vec<Tier> = self.tiers.iter().map(|t| t.role).collect();
         let ok = matches!(
@@ -366,6 +371,9 @@ impl Topology {
                 Tier::Cmw | Tier::Db => {}
             }
             self.validate_faults(i, t)?;
+        }
+        if self.total_servers() > MAX_SERVERS {
+            return Err(TopologyError::TooManyServers(self.total_servers()));
         }
         Ok(())
     }
