@@ -9,7 +9,8 @@
 //! * [`ShardedEngine`] / [`ShardModel`] / [`ShardIo`] — an event-list
 //!   executor: a model is one or more shards, each a plain `&mut` state
 //!   machine over a user-defined event enum, and the executor pops events in
-//!   global `(time, key)` order from per-shard calendar queues ([`queue`]).
+//!   global `(time, key)` order from per-shard event lists ([`queue`]: a
+//!   calendar queue for the near band, a heap for timers further out).
 //!   No `Rc`, no `RefCell`, no dynamic dispatch on the hot path.
 //! * [`rng`] — deterministic, forkable random-number streams so that every
 //!   experiment is exactly reproducible and parallel parameter sweeps are

@@ -47,7 +47,8 @@ pub struct EngineProfile {
     /// Peak number of pending events in any one shard's queue (staged
     /// arrivals included).
     pub queue_high_water: usize,
-    /// Allocated capacity of the event queues at snapshot time.
+    /// Allocated event slots of the event queues at snapshot time, summed
+    /// over every lane: calendar buckets, far lane and staged lane.
     pub queue_capacity: usize,
     /// Per-event-kind counts, in first-seen order (labels from
     /// [`ShardModel::event_label`](crate::ShardModel::event_label)).

@@ -1,4 +1,5 @@
-//! The future-event list: a calendar queue plus the staged-arrivals lane.
+//! The future-event list: a calendar queue for the near band, a heap for
+//! the far lane, and the staged-arrivals lane.
 //!
 //! Each shard's pending-event set is a strict total order on `(time, key)`:
 //! earlier times first, and among events at one instant the smaller key
@@ -6,14 +7,22 @@
 //! [`crate::shard`]), so on a one-shard model same-instant events pop FIFO in
 //! scheduling order.
 //!
-//! [`CalendarBackend`] maintains that order: a calendar queue (Brown 1988)
-//! whose events hash into time buckets ("days") of width `2^shift` µs; pops
-//! scan forward from the current day. Push and pop are amortized `O(1)`
-//! when the bucket width tracks the event-time spread, which the backend
-//! re-tunes on resize. It is the only production backend. The binary heap
-//! [`crate::testkit::HeapBackend`] is the differential oracle: the tests
-//! below (and the workspace-level `queue_backends` suite) prove that the
-//! calendar pops the exact sequence the heap does, ties included.
+//! [`CalendarBackend`] maintains that order. Its calendar queue (Brown 1988)
+//! hashes events into time buckets ("days") of width `2^shift` µs, and pops
+//! scan forward from the current day. It holds only the **near band**: the
+//! events less than one calendar year (`nbuckets` days) ahead of the last
+//! pop. A push further out goes to the **far lane**, a binary heap, and pops
+//! take the smaller of the two fronts. A closed loop pushes a bimodal mix —
+//! most events land milliseconds ahead, each session's think timer seconds
+//! ahead — and a calendar that held both would size its days for the think
+//! timers' spread and keep buckets full of near events. Split, the calendar's
+//! width follows the near band alone (retuned when the pops and inserts it
+//! observes get costly), its storage follows the few dozen events it holds,
+//! and the think timers sit one slot each in the heap. It is the only
+//! production backend. The binary heap [`crate::testkit::HeapBackend`] is
+//! the differential oracle: the tests below (and the workspace-level
+//! `queue_backends` suite) prove that the backend pops the exact sequence the
+//! heap does, ties included.
 //!
 //! # The staged-arrivals lane
 //!
@@ -31,7 +40,7 @@
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One pending event: the payload plus its total-order key `(at, seq)`.
 ///
@@ -73,35 +82,54 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Smallest bucket-array size the calendar queue will shrink to.
+/// Smallest bucket-array size the calendar queue will shrink to. It is also
+/// the starting size: with the default width that makes a first year of
+/// ~262 ms, so a closed loop's seconds-ahead think timers start in the far
+/// lane instead of inflating the calendar.
 const MIN_BUCKETS: usize = 64;
 /// Largest bucket-array size (bounds the empty-bucket memory overhead; past
 /// this the queue degrades gracefully to a few events per bucket).
 const MAX_BUCKETS: usize = 1 << 19;
 /// Initial bucket width exponent: `2^12` µs ≈ 4 ms days, a reasonable prior
-/// for millisecond-scale service times; resize re-tunes it from the actual
-/// pending-event spread.
+/// for millisecond-scale service times; retunes adjust it from the gaps
+/// between calendar pops.
 const DEFAULT_SHIFT: u32 = 12;
 /// Bucket-width exponent ceiling (`2^40` µs ≈ 13 days of sim time per
 /// bucket — effectively "one bucket for everything").
 const MAX_SHIFT: u32 = 40;
-/// Initial bucket count of every shard's calendar.
-const INITIAL_BUCKETS: usize = 1024;
+/// Mean days scanned per calendar pop, or mean events shifted per calendar
+/// insert, past which a window of pops asks for a retune: the days are too
+/// narrow for the near band in the first case, too wide in the second. A
+/// well-tuned calendar has about one event per day, so both sit near 1.
+const RETUNE_COST: u64 = 4;
 
-/// Calendar-queue backend (Brown 1988).
+/// Calendar-queue backend (Brown 1988) with a far lane.
 ///
-/// Events hash into `buckets.len()` (a power of two) time buckets by their
-/// "day" `at_µs >> shift`; each bucket is kept sorted ascending by
-/// `(at, seq)`, so a bucket's front is its minimum. A pop scans days forward
-/// from the last popped day (`cur_day`); within one "year" (`nbuckets` days)
-/// each day maps to a distinct bucket, so the first front whose day matches
-/// the scanned day is the global minimum. If a whole year is empty the pop
-/// falls back to a direct min-scan over bucket fronts and jumps `cur_day`
-/// there.
+/// The pending events split into a **near band** and a **far lane**. The
+/// near band lives in the calendar: events hash into `buckets.len()` (a
+/// power of two) time buckets by their "day" `at_µs >> shift`, each bucket
+/// kept sorted ascending by `(at, seq)` so its front is its minimum. Every
+/// near event lies within one "year" (`nbuckets` days) of `cur_day`, the
+/// day of the last pop, so each of those days maps to a distinct bucket and
+/// a pop's forward scan from `cur_day` finds the near minimum within one
+/// year. A push whose day is a full year or more past `cur_day` goes to the
+/// far lane instead: a binary heap on `(at, seq)`. Pops take the smaller of
+/// the calendar front and the far-lane top, so far events leave from the
+/// heap when their time comes and never move back into the calendar.
+///
+/// The width follows the near band only. Every `nbuckets` calendar pops
+/// close a retune window, which checks the days those pops scanned and the
+/// events the window's inserts shifted, each against an average of 4
+/// (`RETUNE_COST`). When either is too high, the width is set to the mean
+/// gap between the distinct times the window's calendar pops delivered,
+/// and the calendar is rebuilt. Size crossings of the near count rebuild at the same width with more or
+/// fewer buckets. Every rebuild moves whatever then lies beyond the year to
+/// the far lane, and allocates fresh buckets, so calendar storage follows
+/// the live near band rather than its peak.
 ///
 /// Determinism: pop order is decided *only* by `(at, seq)` comparisons —
-/// bucket count, width, and resize timing affect where events sit, never
-/// which one is the minimum — so the calendar queue pops the exact sequence
+/// bucket count, width, lane and rebuild timing affect where events sit,
+/// never which one is the minimum — so the backend pops the exact sequence
 /// the heap oracle does. (The invariant that makes the day-scan sound: every
 /// pending event's day is ≥ `cur_day`, because the executor never schedules
 /// before `now` and `cur_day` only tracks popped minima.)
@@ -114,15 +142,61 @@ pub struct CalendarBackend<E> {
     shift: u32,
     /// Day of the most recently popped event (lower bound on all pending days).
     cur_day: u64,
+    /// Events in the calendar (the near band).
     len: usize,
-    /// Memoized location of the current minimum: `(bucket, at, seq)`. Kept
-    /// valid across pushes (a push either beats it and replaces it, or
-    /// cannot be the minimum); consumed by `pop_min`.
+    /// Events a year or more ahead when pushed, ordered by `(at, seq)`.
+    far: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Memoized location of the calendar's minimum: `(bucket, at, seq)`.
+    /// Kept valid across pushes (a push either beats it and replaces it, or
+    /// cannot be the minimum); consumed by a calendar pop.
     cached_min: Option<(usize, SimTime, u64)>,
+    /// What the calendar observed since the last rebuild or retune.
+    window: RetuneWindow,
+}
+
+/// Costs and pop times a calendar observes between two retunes.
+#[derive(Debug, Default)]
+struct RetuneWindow {
+    /// Calendar pops, and the days they scanned.
+    pops: u64,
+    scanned: u64,
+    /// Calendar inserts, and the events they shifted.
+    inserts: u64,
+    shifted: u64,
+    /// First and last popped time (µs), and the distinct gaps between.
+    first_pop: u64,
+    last_pop: u64,
+    pop_gaps: u64,
+}
+
+impl RetuneWindow {
+    fn record_pop(&mut self, at: SimTime) {
+        let t = at.as_micros();
+        if self.pops == 0 {
+            self.first_pop = t;
+        } else if t != self.last_pop {
+            self.pop_gaps += 1;
+        }
+        self.last_pop = t;
+        self.pops += 1;
+    }
+
+    /// Whether pops scanned, or inserts shifted, more than [`RETUNE_COST`]
+    /// on average.
+    fn costly(&self) -> bool {
+        self.scanned > RETUNE_COST * self.pops || self.shifted > RETUNE_COST * self.inserts
+    }
+
+    /// The width exponent the window asks for: the log of the mean gap
+    /// between the distinct times its pops delivered, if there were two.
+    fn shift(&self) -> Option<u32> {
+        let gap = (self.last_pop - self.first_pop).checked_div(self.pop_gaps)?;
+        Some((63 - gap.max(1).leading_zeros()).min(MAX_SHIFT))
+    }
 }
 
 impl<E> CalendarBackend<E> {
-    /// Create sized for roughly `capacity` pending events.
+    /// Create sized for roughly `capacity` pending near-band events.
     pub fn with_capacity(capacity: usize) -> Self {
         let nbuckets = capacity.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         CalendarBackend {
@@ -131,7 +205,9 @@ impl<E> CalendarBackend<E> {
             shift: DEFAULT_SHIFT,
             cur_day: 0,
             len: 0,
+            far: BinaryHeap::new(),
             cached_min: None,
+            window: RetuneWindow::default(),
         }
     }
 
@@ -140,144 +216,180 @@ impl<E> CalendarBackend<E> {
         at.as_micros() >> self.shift
     }
 
-    /// Insert without resize checks or cache maintenance (rebuild path).
-    fn insert_item(&mut self, item: Scheduled<E>) {
-        let bucket = (self.day_of(item.at) & self.mask) as usize;
-        let key = item.key();
-        let deque = &mut self.buckets[bucket];
-        // Sorted-ascending insert. Same-time events arrive with monotone
-        // seq, so the common case is an append at the back, O(1).
-        let pos = deque.partition_point(|s| s.key() < key);
-        deque.insert(pos, item);
-        self.len += 1;
+    /// Whether `day` lies a full year or more past `cur_day` (far lane).
+    #[inline]
+    fn beyond_year(&self, day: u64) -> bool {
+        day >= self.cur_day + self.buckets.len() as u64
     }
 
-    /// Locate the minimum event: `(bucket, at, seq)`.
-    fn locate_min(&self) -> (usize, SimTime, u64) {
+    /// Locate the calendar's minimum event: `(bucket, at, seq)`. Every near
+    /// event lies within a year of `cur_day`, so the day-scan finds it.
+    fn locate_min(&mut self) -> (usize, SimTime, u64) {
         debug_assert!(self.len > 0, "locate_min on empty calendar");
-        let nbuckets = self.buckets.len() as u64;
-        for day in self.cur_day..self.cur_day + nbuckets {
+        for day in self.cur_day..self.cur_day + self.buckets.len() as u64 {
             let bucket = (day & self.mask) as usize;
             if let Some(front) = self.buckets[bucket].front() {
                 if self.day_of(front.at) == day {
+                    self.window.scanned += day - self.cur_day + 1;
                     return (bucket, front.at, front.seq);
                 }
             }
         }
-        // Sparse year: nothing within `nbuckets` days of cur_day. Direct
-        // min-scan over bucket fronts (each front is its bucket's minimum).
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, d)| d.front().map(|f| (b, f.at, f.seq)))
-            .min_by_key(|&(_, at, seq)| (at, seq))
-            .expect("len > 0 but all buckets empty")
+        unreachable!("a near-band event lies beyond the calendar year")
     }
 
-    /// Rebuild with a new bucket count, re-tuning the bucket width to the
-    /// pending-event spread (aiming for ~1 event per bucket-day). Layout
-    /// changes only; pop order is unaffected by construction.
-    fn rebuild(&mut self, target_buckets: usize) {
+    /// Rebuild with a new bucket count and width `2^shift` µs, moving what
+    /// lies beyond the new year to the far lane. Layout changes only; pop
+    /// order is unaffected by construction.
+    fn rebuild(&mut self, target_buckets: usize, shift: u32) {
         let nbuckets = target_buckets
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let items: Vec<Scheduled<E>> = self.buckets.iter_mut().flat_map(|b| b.drain(..)).collect();
-        let old_shift = self.shift;
-        if let (Some(lo), Some(hi)) = (
-            items.iter().map(|s| s.at).min(),
-            items.iter().map(|s| s.at).max(),
-        ) {
-            let span = hi.as_micros() - lo.as_micros();
-            let per_event = (span / items.len() as u64).max(1);
-            self.shift = (63 - per_event.leading_zeros()).min(MAX_SHIFT);
+        // Every near event lies within the year, where days map to distinct
+        // buckets, so draining the buckets in day order yields them sorted.
+        let mut items = Vec::with_capacity(self.len);
+        for day in self.cur_day..self.cur_day + self.buckets.len() as u64 {
+            items.extend(self.buckets[(day & self.mask) as usize].drain(..));
         }
+        debug_assert_eq!(items.len(), self.len, "near event outside the year");
+        let old_shift = self.shift;
+        self.shift = shift;
         // `cur_day` must stay a lower bound on every FUTURE push, not just
         // the currently pending events: pushes land anywhere ≥ now, and now
-        // can be far below the minimum pending event (e.g. when only
-        // far-future markers remain while arrivals stream in from the
+        // can be far below the minimum pending event (e.g. when the calendar
+        // holds only events well ahead while arrivals stream in from the
         // staged lane). Jumping to the minimum pending day would start the
         // pop scan past those later pushes and break pop order — so carry
-        // the old bound across the width change instead. Scanning extra
-        // empty days is at worst one sparse-year fallback, and the next pop
+        // the old bound across the width change instead; the next pop
         // re-anchors `cur_day`.
         self.cur_day = (self.cur_day << old_shift) >> self.shift;
         self.buckets = (0..nbuckets).map(|_| VecDeque::new()).collect();
         self.mask = (nbuckets - 1) as u64;
         self.cached_min = None;
         self.len = 0;
+        self.window = RetuneWindow::default();
         for item in items {
-            self.insert_item(item);
+            let day = self.day_of(item.at);
+            if self.beyond_year(day) {
+                self.far.push(Reverse(item));
+            } else {
+                // Sorted input: each bucket only ever appends.
+                self.buckets[(day & self.mask) as usize].push_back(item);
+                self.len += 1;
+            }
         }
     }
 
     /// Insert one pending event.
     pub fn push(&mut self, item: Scheduled<E>) {
+        let day = self.day_of(item.at);
+        debug_assert!(day >= self.cur_day, "push before cur_day");
+        if self.beyond_year(day) {
+            self.far.push(Reverse(item));
+            return;
+        }
         if self.len + 1 > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(self.len + 1);
+            // Same width, more buckets: the year only grows, so `day` stays
+            // in the calendar.
+            self.rebuild(self.len + 1, self.shift);
         }
         let key = item.key();
-        let bucket = (self.day_of(item.at) & self.mask) as usize;
+        let bucket = (day & self.mask) as usize;
         if let Some((_, at, seq)) = self.cached_min {
             if key < (at, seq) {
                 self.cached_min = Some((bucket, item.at, item.seq));
             }
         }
         let deque = &mut self.buckets[bucket];
+        // Sorted-ascending insert. Same-time events arrive with monotone
+        // seq, so the common case is an append at the back, O(1).
         let pos = deque.partition_point(|s| s.key() < key);
+        self.window.shifted += (deque.len() - pos) as u64;
+        self.window.inserts += 1;
         deque.insert(pos, item);
         self.len += 1;
     }
 
-    /// Key of the minimum pending event, memoizing its location so an
-    /// immediately following [`pop_min`](Self::pop_min) is `O(1)`.
-    pub fn min_key(&mut self) -> Option<(SimTime, u64)> {
+    /// Location of the calendar's minimum, memoized so an immediately
+    /// following pop is `O(1)`.
+    #[inline]
+    fn near_min(&mut self) -> Option<(usize, SimTime, u64)> {
         if self.len == 0 {
             return None;
         }
-        if let Some((_, at, seq)) = self.cached_min {
-            return Some((at, seq));
+        if self.cached_min.is_none() {
+            self.cached_min = Some(self.locate_min());
         }
-        let found = self.locate_min();
-        self.cached_min = Some(found);
-        Some((found.1, found.2))
+        self.cached_min
+    }
+
+    /// Key of the minimum pending event, memoizing the calendar's minimum
+    /// so an immediately following [`pop_min`](Self::pop_min) is `O(1)`.
+    pub fn min_key(&mut self) -> Option<(SimTime, u64)> {
+        let near = self.near_min().map(|(_, at, seq)| (at, seq));
+        let far = self.far.peek().map(|r| r.0.key());
+        match (near, far) {
+            (Some(n), Some(f)) => Some(n.min(f)),
+            (n, f) => n.or(f),
+        }
     }
 
     /// Remove and return the minimum pending event.
     pub fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        let (bucket, at, _) = match self.cached_min.take() {
-            Some(found) => found,
-            None => self.locate_min(),
+        let near = self.near_min();
+        let far = self.far.peek().map(|r| r.0.key());
+        let Some((bucket, at, _)) = near.filter(|&(_, at, seq)| far.is_none_or(|f| (at, seq) < f))
+        else {
+            let item = self.far.pop()?.0;
+            self.cur_day = self.day_of(item.at);
+            return Some(item);
         };
         let item = self.buckets[bucket]
             .pop_front()
             .expect("minimum bucket empty");
         debug_assert_eq!(item.at, at, "cached minimum out of date");
+        self.cached_min = None;
         self.len -= 1;
         self.cur_day = self.day_of(at);
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild(self.len.max(MIN_BUCKETS));
+        self.window.record_pop(at);
+        let nbuckets = self.buckets.len();
+        if self.len < nbuckets / 4 && nbuckets > MIN_BUCKETS {
+            self.rebuild(self.len.max(MIN_BUCKETS), self.shift);
+        } else if self.window.pops >= nbuckets as u64 {
+            self.retune();
         }
         Some(item)
     }
 
-    /// Number of pending events.
+    /// Close a retune window: rebuild at the window's tuned width when its
+    /// pops scanned too many days or its inserts shifted too many events,
+    /// keeping the bucket count. A rebuild to the same width is skipped.
+    fn retune(&mut self) {
+        let window = std::mem::take(&mut self.window);
+        let retuned = window
+            .shift()
+            .filter(|&s| window.costly() && s != self.shift);
+        if let Some(shift) = retuned {
+            self.rebuild(self.buckets.len(), shift);
+        }
+    }
+
+    /// Number of pending events (calendar and far lane).
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.far.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Allocated capacity across all buckets (for telemetry).
+    /// Allocated event slots across the calendar's buckets and the far lane
+    /// (for telemetry).
     pub fn capacity(&self) -> usize {
-        self.buckets.iter().map(|b| b.capacity()).sum::<usize>()
+        self.buckets.iter().map(|b| b.capacity()).sum::<usize>() + self.far.capacity()
     }
 }
 
@@ -304,7 +416,7 @@ pub(crate) struct EventQueue<E> {
 impl<E> EventQueue<E> {
     pub(crate) fn new() -> Self {
         EventQueue {
-            backend: CalendarBackend::with_capacity(INITIAL_BUCKETS),
+            backend: CalendarBackend::with_capacity(MIN_BUCKETS),
             staged: Vec::new(),
             started: false,
             now: SimTime::ZERO,
@@ -365,10 +477,11 @@ impl<E> EventQueue<E> {
         self.high_water
     }
 
-    /// Allocated capacity of the calendar backend.
+    /// Allocated event slots across every lane: the calendar's buckets,
+    /// the far lane and the staged lane.
     #[inline]
     pub(crate) fn capacity(&self) -> usize {
-        self.backend.capacity()
+        self.backend.capacity() + self.staged.capacity()
     }
 
     /// Key of the minimum pending event. The first call sorts the staged
@@ -395,15 +508,20 @@ impl<E> EventQueue<E> {
     ///
     /// The staged lane only ever drains, so once it holds under a quarter
     /// of its capacity the surplus goes back to the allocator (down to
-    /// twice its length): a 1M-session run does not carry the whole
-    /// seeding array to the end. That is a handful of reallocations per
-    /// run, and storage only — the pop order cannot change.
+    /// twice its length), and its last pop frees it: a 1M-session run does
+    /// not carry the whole seeding array to the end. That is a handful of
+    /// reallocations per run, and storage only — the pop order cannot
+    /// change.
+    ///
+    /// # Panics
+    /// If the popped event lies before the current time: a merge of the
+    /// lanes that broke the `(time, key)` order would show here first.
     pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
         let key = self.peek_key()?;
         let item = if self.staged.last().is_some_and(|s| s.key() == key) {
             let item = self.staged.pop();
             let (len, cap) = (self.staged.len(), self.staged.capacity());
-            if cap >= STAGED_RELEASE_MIN && len * 4 < cap {
+            if len * 4 < cap && (cap >= STAGED_RELEASE_MIN || len == 0) {
                 self.staged.shrink_to(len * 2);
             }
             item
@@ -411,7 +529,7 @@ impl<E> EventQueue<E> {
             self.backend.pop_min()
         }
         .expect("peeked minimum vanished");
-        debug_assert!(item.at >= self.now, "event queue time went backwards");
+        assert!(item.at >= self.now, "event queue time went backwards");
         self.now = item.at;
         Some(item)
     }
@@ -433,6 +551,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::RunRng;
     use crate::testkit::{check, Gen, HeapBackend};
 
     fn sched(at_us: u64, seq: u64) -> Scheduled<u64> {
@@ -469,7 +588,7 @@ mod tests {
                     }
                 } else if g.chance(0.6) {
                     // Push: mostly nearby times, deliberate ties, occasional
-                    // far-future outliers to force sparse-year scans.
+                    // far-future outliers for the far lane.
                     let at = if g.chance(0.15) {
                         floor // exact tie with the current minimum's era
                     } else if g.chance(0.05) {
@@ -512,7 +631,8 @@ mod tests {
     /// *pending* day. Events pushed afterwards at earlier times (legal: any
     /// time ≥ now, and now can sit far below the pending minimum while
     /// arrivals stream from the staged lane) then landed behind the scan
-    /// start, and the year-scan returned a later event first.
+    /// start, and the year-scan returned a later event first. The flood now
+    /// goes to the far lane; the later near push must still pop first.
     #[test]
     fn pushes_behind_a_regrown_calendar_year_still_pop_first() {
         let mut heap = HeapBackend::default();
@@ -529,8 +649,8 @@ mod tests {
             heap.pop_min().map(|s| s.key()),
             cal.pop_min().map(|s| s.key())
         );
-        // Far-future flood forces grow-rebuilds with nothing pending below
-        // 10 s; the width re-tune used to drag the scan start up there too.
+        // Far-future flood with nothing pending below 10 s; a width re-tune
+        // used to drag the scan start up there too.
         for i in 0..300u64 {
             push(&mut heap, &mut cal, 10_000_000 + i);
         }
@@ -590,6 +710,240 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
+    /// The calendar and the heap oracle, driven in lockstep: every push
+    /// goes to both, every pop must agree on the event and on `min_key`.
+    struct Lockstep {
+        heap: HeapBackend<u64>,
+        cal: CalendarBackend<u64>,
+        floor: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                heap: HeapBackend::default(),
+                cal: CalendarBackend::with_capacity(MIN_BUCKETS),
+                floor: 0,
+            }
+        }
+
+        /// Push at `floor + ahead_us` under key `seq`.
+        fn push(&mut self, ahead_us: u64, seq: u64) {
+            let at = self.floor + ahead_us;
+            self.heap.push(sched(at, seq));
+            self.cal.push(sched(at, seq));
+        }
+
+        /// Pop from both and compare; the floor follows popped time.
+        /// Returns whether an event was pending.
+        fn pop(&mut self) -> bool {
+            assert_eq!(self.heap.min_key(), self.cal.min_key());
+            let a = self.heap.pop_min().map(|s| (s.at, s.seq, s.event));
+            let b = self.cal.pop_min().map(|s| (s.at, s.seq, s.event));
+            assert_eq!(a, b);
+            if let Some((at, _, _)) = a {
+                self.floor = at.as_micros();
+            }
+            a.is_some()
+        }
+
+        fn drain(&mut self) {
+            while self.pop() {}
+            assert!(self.heap.is_empty() && self.cal.is_empty());
+        }
+    }
+
+    /// The paper's mix: most pushes land within a few milliseconds, a few
+    /// are think timers seconds ahead, and a handful are far markers
+    /// (measurement windows, crashes) minutes ahead.
+    #[test]
+    fn bimodal_schedules_pop_like_the_heap_oracle() {
+        let mut far_seen = 0;
+        check(100, |g: &mut Gen| {
+            let mut q = Lockstep::new();
+            let mut seq = 0u64;
+            for _ in 0..g.usize_in(1, 3_000) {
+                if g.chance(0.5) {
+                    q.pop();
+                    continue;
+                }
+                let ahead = match g.u64_in(0, 100) {
+                    0 => g.u64_in(60_000_000, 600_000_000),
+                    1..=6 => g.u64_in(1_000_000, 15_000_000),
+                    7..=20 => 0,
+                    _ => g.u64_in(0, 8_000),
+                };
+                for _ in 0..g.usize_in(1, 3) {
+                    q.push(ahead, seq);
+                    seq += 1;
+                }
+                far_seen += q.cal.far.len();
+            }
+            q.drain();
+        });
+        assert!(far_seen > 0, "no schedule reached the far lane");
+    }
+
+    /// A push exactly one year past `cur_day` would share a bucket with the
+    /// current day, out of the year-scan's reach: it goes to the far lane,
+    /// and one day less stays in the calendar.
+    #[test]
+    fn a_push_one_full_year_ahead_goes_to_the_far_lane() {
+        let mut q = Lockstep::new();
+        let year = (MIN_BUCKETS as u64) << DEFAULT_SHIFT;
+        q.push(year, 0);
+        q.push(year - 1, 1);
+        assert_eq!((q.cal.far.len(), q.cal.len), (1, 1));
+        q.drain();
+    }
+
+    /// Events parked in the far lane are still there when time catches up
+    /// with them, while new near pushes land at the same instants in the
+    /// calendar. Keys are not monotone in push order (as with keys minted
+    /// per origin shard), so a later near push can beat an earlier far
+    /// event at the same time.
+    #[test]
+    fn far_events_crossing_into_the_near_band_pop_in_order() {
+        check(50, |g: &mut Gen| {
+            let mut q = Lockstep::new();
+            let far_base = g.u64_in(2_000_000, 5_000_000);
+            let far_times: Vec<u64> = (0..40).map(|i| far_base + i * g.u64_in(1, 3_000)).collect();
+            for (i, &t) in far_times.iter().enumerate() {
+                q.push(t, (1 << 56) + i as u64);
+            }
+            assert_eq!(q.cal.far.len(), far_times.len(), "far pushes stayed near");
+            let mut seq = 0u64;
+            let mut shared_instant = false;
+            while !q.cal.is_empty() {
+                // Near traffic a few ms ahead keeps time moving; some of it
+                // lands exactly on a parked far event's instant.
+                let next_far = q.cal.far.peek().map(|r| r.0.at.as_micros());
+                match next_far {
+                    Some(t) if t <= q.floor + 8_000 && g.chance(0.5) => {
+                        let parked = q.cal.far.len();
+                        q.push(t - q.floor, seq);
+                        // Went to the calendar while its twin stays parked.
+                        shared_instant |= q.cal.far.len() == parked;
+                    }
+                    Some(_) => q.push(g.u64_in(1, 8_000), seq),
+                    None => {}
+                }
+                seq += 1;
+                q.pop();
+            }
+            assert!(shared_instant, "no instant was held by both lanes");
+        });
+    }
+
+    /// Reverse-order inserts make a window costly, so a retune narrows the
+    /// days and spills what now lies past the shorter year into the far
+    /// lane; a sparse chain afterwards makes scans costly and widens them
+    /// again. Grow and shrink rebuilds ride along. Every pop still matches
+    /// the heap.
+    #[test]
+    fn forced_retunes_and_rebuilds_spill_to_the_far_lane_in_order() {
+        let mut q = Lockstep::new();
+        // 120 events 250 µs apart within the first (4 ms-day) year, pushed
+        // latest first: each insert shifts the later events of its bucket.
+        for i in (0..120u64).rev() {
+            q.push(i * 250, i);
+        }
+        assert_eq!((q.cal.far.len(), q.cal.shift), (0, DEFAULT_SHIFT));
+        for _ in 0..MIN_BUCKETS {
+            q.pop();
+        }
+        assert!(q.cal.shift < DEFAULT_SHIFT, "costly window did not narrow");
+        assert!(!q.cal.far.is_empty(), "narrowed year spilled nothing");
+        // Interleave near pushes with the spilled events, then force a
+        // grow rebuild (more than two events per bucket) and drain, which
+        // shrinks it again.
+        let mut seq = 1_000u64;
+        for _ in 0..3 * MIN_BUCKETS {
+            q.push(seq % 997, seq);
+            seq += 1;
+        }
+        assert!(q.cal.buckets.len() > MIN_BUCKETS, "no grow rebuild");
+        q.drain();
+        assert_eq!(q.cal.buckets.len(), MIN_BUCKETS, "no shrink rebuild");
+        // A sparse near band: a chain of events 40 days apart, so every
+        // pop scans 40 days until a retune widens them.
+        let narrow = q.cal.shift;
+        q.push(0, seq);
+        for _ in 0..2 * MIN_BUCKETS {
+            q.pop();
+            seq += 1;
+            q.push(40 << narrow, seq);
+        }
+        assert!(q.cal.shift > narrow, "costly scans did not widen the days");
+        q.drain();
+    }
+
+    /// On a closed loop shaped like the paper's run (think timers seconds
+    /// ahead, request chains a few milliseconds deep), queue storage stays
+    /// within a small multiple of the events it holds once the loop is in
+    /// steady state: the far lane holds the think timers and the calendar
+    /// only the near band. Counting every lane, it never falls below them.
+    #[test]
+    fn storage_follows_live_events_on_a_paper_like_stream() {
+        const USERS: u64 = 3_000;
+        const STEPS: u64 = 20;
+        // Event payload: `user << 8 | step`; step 0 is the think timer,
+        // `LEAF` a side effect of a step that schedules nothing.
+        const LEAF: u64 = 0xff;
+        let mut rng = RunRng::new(7);
+        let mut q = EventQueue::new();
+        let mut key = 0u64;
+        for user in 0..USERS {
+            let at = SimTime::from_secs_f64(rng.exp_mean(7.0));
+            q.stage_keyed(at, key, user << 8);
+            key += 1;
+        }
+        let every_lane_counted = |q: &EventQueue<u64>| {
+            let (cap, len) = (q.capacity(), q.len());
+            assert!(cap >= len, "{cap} slots counted for {len} pending events");
+        };
+        every_lane_counted(&q);
+        let mut worst = 0.0f64;
+        let mut popped = 0u64;
+        while let Some(item) = q.pop() {
+            let now = item.at;
+            if now > SimTime::from_secs(20) {
+                break;
+            }
+            let (user, step) = (item.event >> 8, item.event & 0xff);
+            if step == LEAF {
+                continue;
+            }
+            let mut push = |q: &mut EventQueue<u64>, at, event| {
+                q.push_keyed(at, key, event);
+                key += 1;
+            };
+            if step == STEPS {
+                let think = SimTime::from_secs_f64(rng.exp_mean(7.0));
+                push(&mut q, now + think, user << 8);
+                continue;
+            }
+            for _ in 0..3 {
+                let at = now + SimTime::from_micros(rng.index(10_000) as u64);
+                push(&mut q, at, user << 8 | LEAF);
+            }
+            let at = now + SimTime::from_micros(rng.index(10_000) as u64);
+            push(&mut q, at, user << 8 | (step + 1));
+            popped += 1;
+            if popped.is_multiple_of(1_000) {
+                every_lane_counted(&q);
+                if now > SimTime::from_secs(8) {
+                    worst = worst.max(q.capacity() as f64 / q.len() as f64);
+                }
+            }
+        }
+        assert!(worst > 0.0, "the loop never reached steady state");
+        assert!(
+            worst <= 3.0,
+            "queue storage reached {worst:.1} slots per pending event"
+        );
+    }
+
     /// The staged lane is indistinguishable from upfront pushes: same pop
     /// sequence, same keys, same high-water mark — with follow-up events
     /// pushed mid-run to interleave with still-staged arrivals, and with
@@ -631,8 +985,8 @@ mod tests {
         });
 
         // At scale the lane gives its drained storage back as it empties:
-        // with `k` events left it holds at most max(4096, 4k) slots, and
-        // every pop still matches the upfront-push queue.
+        // with `k` events left it holds at most max(4096, 4k) slots, none
+        // once empty, and every pop still matches the upfront-push queue.
         let n = 100_000u64;
         let mut staged = EventQueue::new();
         let mut pushed = EventQueue::new();
@@ -653,6 +1007,7 @@ mod tests {
             );
         }
         assert!(staged.pop().is_none() && pushed.pop().is_none());
+        assert_eq!(staged.staged_capacity(), 0, "the empty lane kept storage");
 
         // Most arrivals share a handful of timestamps and are staged out of
         // key order, so the lane's sort has to break ties on the key alone.
