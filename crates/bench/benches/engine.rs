@@ -42,8 +42,7 @@ enum Ev {
 
 impl ShardModel for PingPong {
     type Event = Ev;
-    type Obs = ();
-    fn handle(&mut self, now: SimTime, _ev: Ev, io: &mut ShardIo<'_, Ev, ()>) {
+    fn handle(&mut self, now: SimTime, _ev: Ev, io: &mut ShardIo<'_, Ev>) {
         // Data-dependent delays keep the optimizer from collapsing the event
         // chain into a closed form: each delay depends on the running
         // checksum, which depends on every prior event time.
@@ -56,7 +55,6 @@ impl ShardModel for PingPong {
             io.schedule_after(SimTime::from_micros(1 + (self.checksum & 7)), Ev::Ping);
         }
     }
-    fn ingest(&mut self, _: SimTime, _: ()) {}
 }
 
 fn bench_engine() {

@@ -80,19 +80,18 @@ impl Executor {
                 s.spawn(move || loop {
                     // Own block first (front), then steal from the back of
                     // the first non-empty victim, scanning round-robin from
-                    // the right neighbour.
-                    let job = queues[w]
-                        .lock()
-                        .expect("queue lock")
-                        .pop_front()
-                        .or_else(|| {
-                            (1..workers).find_map(|k| {
-                                queues[(w + k) % workers]
-                                    .lock()
-                                    .expect("queue lock")
-                                    .pop_back()
-                            })
-                        });
+                    // the right neighbour. The own-queue guard must drop
+                    // before stealing: two idle workers each holding their
+                    // own lock while locking the other's deadlock.
+                    let own = queues[w].lock().expect("queue lock").pop_front();
+                    let job = own.or_else(|| {
+                        (1..workers).find_map(|k| {
+                            queues[(w + k) % workers]
+                                .lock()
+                                .expect("queue lock")
+                                .pop_back()
+                        })
+                    });
                     let Some((i, item)) = job else { break };
                     let r = f(item);
                     results.lock().expect("results lock")[i] = Some(r);

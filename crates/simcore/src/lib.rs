@@ -8,9 +8,12 @@
 //!   no floating-point drift in the event queue).
 //! * [`ShardedEngine`] / [`ShardModel`] / [`ShardIo`] — an event-list
 //!   executor: a model is one or more shards, each a plain `&mut` state
-//!   machine over a user-defined event enum, and the executor pops events in
-//!   global `(time, key)` order from per-shard event lists ([`queue`]: a
-//!   calendar queue for the near band, a heap for timers further out).
+//!   machine over a user-defined event enum with its own event list
+//!   ([`queue`]: a calendar queue for the near band, a heap for timers
+//!   further out). The executor drains one shard at a time, in `(time, key)`
+//!   order, for as long as its next event lies within the lookahead window
+//!   that no other shard can reach into; so each shard sees the event
+//!   sequence a strict global `(time, key)` order would give it.
 //!   No `Rc`, no `RefCell`, no dynamic dispatch on the hot path.
 //! * [`rng`] — deterministic, forkable random-number streams so that every
 //!   experiment is exactly reproducible and parallel parameter sweeps are

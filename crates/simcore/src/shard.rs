@@ -2,12 +2,12 @@
 //!
 //! A model is cut into one or more *shards*: state machines that each own a
 //! future-event list and talk to each other only through scheduled events
-//! and passive observations ([`ShardModel`]). [`ShardedEngine`] runs every
-//! shard on the calling thread, with no synchronization rounds: it picks the
-//! shard holding the globally smallest pending `(time, key)` and drains that
-//! shard while its next event lies strictly before every other shard's next
-//! event plus the lookahead `L`, then picks again. A one-shard model is a
-//! classic event-list simulation.
+//! ([`ShardModel`]). [`ShardedEngine`] runs every shard on the calling
+//! thread, with no synchronization rounds: it picks the shard holding the
+//! globally smallest pending `(time, key)` and drains that shard while its
+//! next event lies strictly before every other shard's next event plus the
+//! lookahead `L`, then picks again. A one-shard model is a classic
+//! event-list simulation.
 //!
 //! # Determinism
 //!
@@ -28,26 +28,15 @@
 //!   same `(time, key)`-ordered event sequence as under a strict global
 //!   `(time, key)` order.
 //!
-//! # Observations
-//!
-//! Shards may also emit *observations* — passive, order-tolerant payloads
-//! (trace spans destined for a recorder on another shard, say) that must not
-//! perturb event scheduling. Observations are stamped at or after the
-//! emitting event's time and draw keys from a **separate** per-shard counter
-//! (so arming them never shifts event keys). A shard ingests them in
-//! `(time, key)` order, but only once they are *safe*: before dispatching an
-//! event at time `T`, it ingests every pending observation stamped
-//! `≤ T − L`. With `L > 0` all of those have been emitted by then (the
-//! emitting events ran before every other shard's next event, which is
-//! above `T − L`), so what a shard has ingested before each event is a
-//! function of the simulation alone. Anything still pending when the run
-//! stops is delivered by [`ShardedEngine::finish_observations`].
+//! The engine carries events only. State that several shards feed (a run's
+//! flight recorder, say) is the model's business: a shard reaches it
+//! directly, and because shards interleave in windows rather than in strict
+//! global order, what it receives must not depend on the order in which
+//! shards deliver it.
 
 use crate::profile::{peak_rss_bytes, EngineProfile, ShardLoad};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Profiling times one event cycle in this many: reading a monotonic clock
@@ -74,30 +63,16 @@ pub fn shard_key(shard: usize, counter: u64) -> u64 {
     ((shard as u64) << SHARD_KEY_BITS) | counter
 }
 
-/// One shard of a model: a state machine handling its own events and
-/// ingesting observations sent by other shards.
+/// One shard of a model: a state machine handling its own events.
 ///
 /// Handlers schedule through a [`ShardIo`], which keeps local schedules on
-/// this shard and routes sends to others. A shard must tolerate
-/// observations arriving *later* than the events around them (they are
-/// delivered under the lookahead delay rule, see the module docs).
+/// this shard and routes sends to others.
 pub trait ShardModel {
     /// Event payload (shared by all shards of one model).
     type Event;
-    /// Observation payload (use `()` when unused).
-    type Obs;
 
     /// Process one event at simulated time `now`.
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: Self::Event,
-        io: &mut ShardIo<'_, Self::Event, Self::Obs>,
-    );
-
-    /// Ingest one observation stamped `at` (delivered in `(time, key)`
-    /// order, before any event at `≥ at + L` dispatches on this shard).
-    fn ingest(&mut self, at: SimTime, obs: Self::Obs);
+    fn handle(&mut self, now: SimTime, event: Self::Event, io: &mut ShardIo<'_, Self::Event>);
 
     /// A static label for an event, used by engine telemetry to build
     /// per-event-kind counts. The default lumps everything under `"event"`.
@@ -107,15 +82,15 @@ pub trait ShardModel {
 }
 
 /// The scheduling capability handed to [`ShardModel::handle`]: local
-/// schedules, cross-shard sends, and observation emission.
-pub struct ShardIo<'a, E, O> {
+/// schedules and cross-shard sends.
+pub struct ShardIo<'a, E> {
     shard: usize,
     now: SimTime,
     lookahead: SimTime,
     /// End of this shard's safe window (see `ShardedEngine::run`); a
     /// cross-shard send at `at` lowers it to `at + L`.
     window: SimTime,
-    lanes: &'a mut [Lane<E, O>],
+    lanes: &'a mut [Lane<E>],
     /// The executor's cached next key per shard; a send can only lower the
     /// destination's.
     next: &'a mut [Option<(SimTime, u64)>],
@@ -126,7 +101,7 @@ pub struct ShardIo<'a, E, O> {
     timed_pushes: u32,
 }
 
-impl<E, O> ShardIo<'_, E, O> {
+impl<E> ShardIo<'_, E> {
     /// Simulated time of the event being handled.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -213,55 +188,14 @@ impl<E, O> ShardIo<'_, E, O> {
         }
         self.window = self.window.min(after(at, self.lookahead));
     }
-
-    /// Emit an observation stamped `at` (at or after now) toward shard
-    /// `dest`, which may be this shard. Observations use their own key
-    /// counter, so emitting them never perturbs event ordering; they are
-    /// ingested under the delay rule described in the module docs.
-    #[inline]
-    pub fn observe(&mut self, dest: usize, at: SimTime, obs: O) {
-        let lane = &mut self.lanes[self.shard];
-        let key = shard_key(self.shard, lane.obs_counter);
-        lane.obs_counter += 1;
-        self.lanes[dest]
-            .obs_pending
-            .push(Reverse(ObsEntry { at, key, obs }));
-    }
 }
 
-/// Pending observation, ordered by `(time, key)`.
-struct ObsEntry<O> {
-    at: SimTime,
-    key: u64,
-    obs: O,
-}
-
-impl<O> PartialEq for ObsEntry<O> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.key) == (other.at, other.key)
-    }
-}
-impl<O> Eq for ObsEntry<O> {}
-impl<O> PartialOrd for ObsEntry<O> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<O> Ord for ObsEntry<O> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.key).cmp(&(other.at, other.key))
-    }
-}
-
-/// One shard's event list, key counters, pending observations, and
-/// telemetry accumulators. The shard's model lives beside it, in
+/// One shard's event list, key counter, and telemetry accumulators. The shard's model lives beside it, in
 /// [`ShardedEngine`], so a handler can reach every lane while its model is
 /// borrowed.
-struct Lane<E, O> {
+struct Lane<E> {
     queue: EventQueue<E>,
     counter: u64,
-    obs_counter: u64,
-    obs_pending: BinaryHeap<Reverse<ObsEntry<O>>>,
     events_processed: u64,
     per_type: Vec<(&'static str, u64)>,
     /// Pop and dispatch (pushes included) seconds of the `timed_events`
@@ -279,13 +213,11 @@ struct Lane<E, O> {
     probe_secs: f64,
 }
 
-impl<E, O> Lane<E, O> {
+impl<E> Lane<E> {
     fn new() -> Self {
         Lane {
             queue: EventQueue::new(),
             counter: 0,
-            obs_counter: 0,
-            obs_pending: BinaryHeap::new(),
             events_processed: 0,
             per_type: Vec::new(),
             pop_secs: 0.0,
@@ -328,7 +260,7 @@ impl<E, O> Lane<E, O> {
 /// on the calling thread in lookahead-safe windows (see module docs).
 pub struct ShardedEngine<M: ShardModel> {
     models: Vec<M>,
-    lanes: Vec<Lane<M::Event, M::Obs>>,
+    lanes: Vec<Lane<M::Event>>,
     lookahead: SimTime,
     now: SimTime,
     telemetry: bool,
@@ -461,16 +393,6 @@ impl<M: ShardModel> ShardedEngine<M> {
         self.run(SimTime::MAX, Some(max_events));
     }
 
-    /// Deliver every still-pending observation (in `(time, key)` order per
-    /// shard). Call after the final `run_*` and before tearing the models
-    /// down: observations are delivered lazily under the lookahead rule, so
-    /// the tail emitted near the end of a run is still in flight.
-    pub fn finish_observations(&mut self) {
-        for (model, lane) in self.models.iter_mut().zip(&mut self.lanes) {
-            ingest_through(model, &mut lane.obs_pending, SimTime::MAX);
-        }
-    }
-
     /// Merged engine profile. Event counts are summed across shards, the
     /// queue high-water is the **maximum** of any one shard (capacity
     /// planning reads it as "largest single event list"), and capacity is
@@ -534,8 +456,8 @@ impl<M: ShardModel> ShardedEngine<M> {
         while let Some(i) = earliest(&next, until) {
             // Drain shard `i` while its next event lies strictly before its
             // window: every other shard's next event plus the lookahead.
-            // Nothing another shard does from here on can land on `i`, or
-            // emit an observation `i` must see, before then. Staying on one
+            // Nothing another shard does from here on can land on `i`
+            // before then. Staying on one
             // shard keeps its queue and model hot in cache.
             let mut window = window(&next, i, self.lookahead);
             loop {
@@ -553,8 +475,8 @@ impl<M: ShardModel> ShardedEngine<M> {
         self.wall_secs += started.elapsed().as_secs_f64();
     }
 
-    /// Pop shard `i`'s next event and dispatch it, after ingesting the
-    /// observations that became safe; then refresh the shard's cached key.
+    /// Pop shard `i`'s next event and dispatch it, then refresh the shard's
+    /// cached key.
     /// Only the popped shard needs a fresh lookup: a send can only lower a
     /// destination's key, and [`ShardIo::send`] records that directly.
     /// Returns `window` lowered by the event's cross-shard sends.
@@ -571,15 +493,6 @@ impl<M: ShardModel> ShardedEngine<M> {
     ) -> SimTime {
         let model = &mut self.models[i];
         let lane = &mut self.lanes[i];
-        // Observation safety: everything stamped ≤ now − L is final (no
-        // shard can still emit below that), so deliver it before the event
-        // (whose time is the cached next key's).
-        let (at, _) = next[i].expect("picked shard has a pending event");
-        ingest_through(
-            model,
-            &mut lane.obs_pending,
-            at.saturating_sub(self.lookahead),
-        );
         let phase = lane.events_processed & PROFILE_SAMPLE_MASK;
         let sample = self.profiling && phase == 0;
         let push_sample = self.profiling && phase == PUSH_SAMPLE;
@@ -654,20 +567,6 @@ fn window(next: &[Option<(SimTime, u64)>], i: usize, lookahead: SimTime) -> SimT
         .unwrap_or(SimTime::MAX)
 }
 
-/// Ingest every pending observation stamped `≤ bound` into `model`, in
-/// `(time, key)` order.
-#[inline]
-fn ingest_through<M: ShardModel>(
-    model: &mut M,
-    pending: &mut BinaryHeap<Reverse<ObsEntry<M::Obs>>>,
-    bound: SimTime,
-) {
-    while pending.peek().is_some_and(|Reverse(top)| top.at <= bound) {
-        let Reverse(e) = pending.pop().expect("peeked entry vanished");
-        model.ingest(e.at, e.obs);
-    }
-}
-
 /// Add `n` to `label`'s count, appending labels in first-seen order.
 fn bump(per_type: &mut Vec<(&'static str, u64)>, label: &'static str, n: u64) {
     match per_type.iter_mut().find(|(l, _)| *l == label) {
@@ -683,8 +582,7 @@ mod tests {
     const HOP: SimTime = SimTime(10);
 
     /// Toy workload on a ring of shards: every shard locally "works" each
-    /// token twice, then passes it to the next shard after `HOP`; each
-    /// handled event also emits an observation toward shard 0.
+    /// token twice, then passes it to the next shard after `HOP`.
     #[derive(Debug, Clone, PartialEq)]
     enum Tok {
         Work(u32),
@@ -695,9 +593,6 @@ mod tests {
         n: usize,
         hops_left: u32,
         log: Vec<(u64, u32)>,
-        obs: Vec<(u64, u32)>,
-        /// Observation stamps ingested since the last handled event.
-        fresh: Vec<u64>,
     }
 
     impl RingShard {
@@ -706,30 +601,18 @@ mod tests {
                 n,
                 hops_left,
                 log: Vec::new(),
-                obs: Vec::new(),
-                fresh: Vec::new(),
             }
         }
     }
 
     impl ShardModel for RingShard {
         type Event = Tok;
-        type Obs = u32;
 
-        fn handle(&mut self, now: SimTime, ev: Tok, io: &mut ShardIo<'_, Tok, u32>) {
-            // The delay rule: whatever was ingested before this event was
-            // stamped at least one lookahead earlier.
-            for at in self.fresh.drain(..) {
-                assert!(at + HOP.0 <= now.0, "observation at {at} ingested at {now}");
-            }
+        fn handle(&mut self, now: SimTime, ev: Tok, io: &mut ShardIo<'_, Tok>) {
             match ev {
-                Tok::Work(x) => {
-                    self.log.push((now.0, x));
-                    io.observe(0, now, x);
-                }
+                Tok::Work(x) => self.log.push((now.0, x)),
                 Tok::Pass(x) => {
                     self.log.push((now.0, 1000 + x));
-                    io.observe(0, now, 1000 + x);
                     // Two local follow-ups land before the pass-on.
                     io.schedule(now + SimTime(1), Tok::Work(x));
                     io.schedule_after(SimTime(2), Tok::Work(x + 1));
@@ -739,11 +622,6 @@ mod tests {
                     }
                 }
             }
-        }
-
-        fn ingest(&mut self, at: SimTime, obs: u32) {
-            self.obs.push((at.0, obs));
-            self.fresh.push(at.0);
         }
 
         fn event_label(ev: &Tok) -> &'static str {
@@ -775,19 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn observations_arrive_safely_in_time_order_and_completely() {
-        let mut eng = ring(4);
-        eng.run_to_quiescence(100_000);
-        eng.finish_observations();
-        let obs = &eng.model(0).obs;
-        // Every handled event emitted exactly one observation to shard 0.
-        assert_eq!(obs.len() as u64, eng.events_processed());
-        // Ordered by time (ties broken by origin-shard key, which the
-        // payload does not expose; time monotonicity is the visible half).
-        assert!(obs.windows(2).all(|w| w[0].0 <= w[1].0), "obs out of order");
-    }
-
-    #[test]
     fn run_until_processes_inclusive_and_advances_clock() {
         let mut eng = ring(2);
         eng.run_until(SimTime(5));
@@ -805,11 +670,9 @@ mod tests {
         struct Cheater;
         impl ShardModel for Cheater {
             type Event = u8;
-            type Obs = ();
-            fn handle(&mut self, now: SimTime, _: u8, io: &mut ShardIo<'_, u8, ()>) {
+            fn handle(&mut self, now: SimTime, _: u8, io: &mut ShardIo<'_, u8>) {
                 io.send(1, now + SimTime(1), 0); // below L = 10
             }
-            fn ingest(&mut self, _: SimTime, _: ()) {}
         }
         let mut eng = ShardedEngine::new(vec![Cheater, Cheater], HOP);
         eng.schedule(0, SimTime(3), 0);
@@ -867,9 +730,8 @@ mod tests {
 
     impl ShardModel for Recorder {
         type Event = Ev;
-        type Obs = ();
 
-        fn handle(&mut self, now: SimTime, ev: Ev, io: &mut ShardIo<'_, Ev, ()>) {
+        fn handle(&mut self, now: SimTime, ev: Ev, io: &mut ShardIo<'_, Ev>) {
             match ev {
                 Ev::Tag(id) => self.seen.push((now.as_micros(), id)),
                 Ev::Now(id) => {
@@ -885,8 +747,6 @@ mod tests {
                 }
             }
         }
-
-        fn ingest(&mut self, _: SimTime, _: ()) {}
     }
 
     fn solo(chain_remaining: u32) -> ShardedEngine<Recorder> {
@@ -971,14 +831,11 @@ mod tests {
                 eng.enable_profiling();
             }
             eng.run_to_quiescence(100_000);
-            eng.finish_observations();
-            let obs = eng.model(0).obs.clone();
-            (logs(&eng), obs, eng.profile())
+            (logs(&eng), eng.profile())
         };
-        let (plain_logs, plain_obs, plain) = run(false);
-        let (prof_logs, prof_obs, profile) = run(true);
+        let (plain_logs, plain) = run(false);
+        let (prof_logs, profile) = run(true);
         assert_eq!(plain_logs, prof_logs);
-        assert_eq!(plain_obs, prof_obs);
         // Phase timers only accumulate when profiling is on.
         assert_eq!(plain.pop_secs, 0.0);
         assert_eq!(plain.sched_secs, 0.0);
@@ -1001,8 +858,7 @@ mod tests {
         struct Busy;
         impl ShardModel for Busy {
             type Event = u64;
-            type Obs = ();
-            fn handle(&mut self, _: SimTime, ev: u64, _: &mut ShardIo<'_, u64, ()>) {
+            fn handle(&mut self, _: SimTime, ev: u64, _: &mut ShardIo<'_, u64>) {
                 // Some real work per event, so the probes' own clock reads
                 // do not dominate the sampled cycles.
                 let mut x = ev;
@@ -1011,7 +867,6 @@ mod tests {
                 }
                 std::hint::black_box(x);
             }
-            fn ingest(&mut self, _: SimTime, _: ()) {}
         }
         let run = || {
             let mut eng = ShardedEngine::new(vec![Busy], SimTime::ZERO);
@@ -1049,8 +904,7 @@ mod tests {
         }
         impl ShardModel for PingPong {
             type Event = ();
-            type Obs = ();
-            fn handle(&mut self, now: SimTime, _: (), io: &mut ShardIo<'_, (), ()>) {
+            fn handle(&mut self, now: SimTime, _: (), io: &mut ShardIo<'_, ()>) {
                 let mut x = self.checksum.wrapping_add(now.as_micros());
                 for _ in 0..16 {
                     x = std::hint::black_box(x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (x >> 29));
@@ -1061,7 +915,6 @@ mod tests {
                     io.schedule_after(SimTime::from_micros(1 + (self.checksum & 7)), ());
                 }
             }
-            fn ingest(&mut self, _: SimTime, _: ()) {}
         }
         let run = || {
             let n = 200_000u64;

@@ -12,11 +12,9 @@ struct Recorder {
 
 impl ShardModel for Recorder {
     type Event = u32;
-    type Obs = ();
-    fn handle(&mut self, now: SimTime, ev: u32, _io: &mut ShardIo<'_, u32, ()>) {
+    fn handle(&mut self, now: SimTime, ev: u32, _io: &mut ShardIo<'_, u32>) {
         self.seen.push((now.as_micros(), ev));
     }
-    fn ingest(&mut self, _: SimTime, _: ()) {}
 }
 
 /// The executor delivers every event exactly once, in non-decreasing time

@@ -23,17 +23,22 @@ use crate::request::{
 use crate::resilience::{BreakerState, HedgeSpec};
 use crate::slab::Slab;
 use crate::tier_nodes::{make_tier, TierNode};
-use crate::topology::{SelectPolicy, TierId, MAX_TIERS};
+use crate::topology::{SelectPolicy, TierId, Topology, MAX_TIERS};
 use metrics::{FailureKind, MetricsRegistry, RunMetrics, SlaModel};
 use ntier_trace::{
     CompletionOutcome, FlightRecorder, Span, TraceId, Tracer, TrackRole, TrackRoles, ENGINE_TRACE,
 };
 use resources::JobId;
 use simcore::{RunRng, SimTime};
+use std::cell::RefCell;
+use std::rc::Rc;
 use workload::{InteractionCatalog, InteractionId, Mix, RetryBucket, SessionModel, SessionStore};
 
 mod dispatch;
-pub(crate) use dispatch::{ObsMsg, ShardLayout, SimQueue};
+pub(crate) use dispatch::{ShardLayout, SimQueue};
+
+/// The run's one flight recorder, as every shard's [`Ctx`] holds it.
+type SharedFlight = Rc<RefCell<FlightRecorder>>;
 
 /// A typed message addressed to one tier of the chain.
 #[derive(Debug, Clone, Copy)]
@@ -166,7 +171,8 @@ pub(crate) struct RouteState {
 /// cheap and keeping indices global avoids a translation layer), but each
 /// shard only *mutates* state it owns: its `owned` node range, its own
 /// query slab, and — on the front shard — the sessions, requests, probes,
-/// client telemetry, and flight recorder.
+/// and client telemetry. The flight recorder is the one piece every shard
+/// shares.
 pub(crate) struct Ctx {
     pub cfg: SystemConfig,
     /// This context's shard index in the [`ShardLayout`] (0 = front).
@@ -174,10 +180,6 @@ pub(crate) struct Ctx {
     /// Contiguous flat-node range owned by this shard (tiers are assigned
     /// whole; replicas of one tier are contiguous in `nodes`).
     pub owned: std::ops::Range<usize>,
-    /// This back shard must forward its spans/GC observations to the front
-    /// shard's flight recorder (set when the run has one; always false on
-    /// the front shard, which feeds its recorder directly).
-    pub forward_obs: bool,
     pub catalog: InteractionCatalog,
     pub mix: Mix,
     /// Compact per-session state, materialized lazily in chunks as sessions
@@ -244,11 +246,14 @@ pub(crate) struct Ctx {
     pub metrics_out: Option<Box<RunMetrics>>,
     pub probes: Vec<ApacheProbe>,
     pub tracer: Option<Tracer>,
-    /// Tail-sampling flight recorder, armed only when both tracing and
-    /// [`SystemConfig::flight`] are enabled. Write-only during the run
-    /// (same passivity discipline as `metrics`): it consumes the same spans
-    /// the tracer records, draws no randomness, and schedules no events.
-    pub flight: Option<Box<FlightRecorder>>,
+    /// Tail-sampling flight recorder, present only when both tracing and
+    /// [`SystemConfig::flight`] are enabled. One recorder serves the whole
+    /// run: every shard holds a handle and feeds it the spans and GC
+    /// windows it emits, as it emits them (the executor runs every shard on
+    /// one thread). Write-only during the run (same passivity discipline as
+    /// `metrics`): it consumes the same spans the tracer records, draws no
+    /// randomness, and schedules no events.
+    pub flight: Option<SharedFlight>,
     pub next_trace: TraceId,
     pub measuring: bool,
     /// When true the closed loop is inert: completed sessions do not think
@@ -260,7 +265,12 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    fn new(cfg: SystemConfig, shard: usize, layout: &ShardLayout) -> Result<Self, TopologyError> {
+    fn new(
+        cfg: SystemConfig,
+        shard: usize,
+        layout: &ShardLayout,
+        flight: Option<SharedFlight>,
+    ) -> Result<Self, TopologyError> {
         let topo = cfg.effective_topology();
         topo.validate()?;
         let catalog = InteractionCatalog::rubbos();
@@ -350,35 +360,6 @@ impl Ctx {
             Some(cap) => Tracer::with_capacity(cfg.trace, cfg.seed, cap),
             None => Tracer::new(cfg.trace, cfg.seed),
         });
-        // The flight recorder needs spans, so it rides on the tracer; its
-        // windows align with the metrics cadence when both are configured so
-        // exemplars link 1:1 to metric windows.
-        let flight = (tracer.is_some() && cfg.flight.enabled())
-            .then(|| {
-                let mut roles = TrackRoles::new();
-                for l in &links {
-                    let role = match l.role {
-                        Tier::Web => TrackRole::Web,
-                        Tier::App => TrackRole::App,
-                        Tier::Cmw => TrackRole::Mw,
-                        Tier::Db => TrackRole::Db,
-                    };
-                    roles.insert(l.name, role);
-                }
-                let fcfg = match cfg.metrics.window() {
-                    Some(w) => cfg.flight.with_window(w),
-                    None => cfg.flight,
-                };
-                FlightRecorder::new(fcfg, cfg.seed, origin, roles).map(Box::new)
-            })
-            .flatten();
-        // Back shards feed the front shard's recorder through the engine's
-        // observation channel instead of holding one themselves; whether to
-        // forward is decided from the same construction the front shard ran,
-        // so every shard agrees without communicating.
-        let forward_obs = shard != 0 && flight.is_some();
-        let flight = if shard == 0 { flight } else { None };
-
         // Contiguous node range this shard owns (whole tiers, chain order).
         let mut owned = nodes.len()..nodes.len();
         for (ni, &s) in layout.shard_of_node.iter().enumerate() {
@@ -413,7 +394,6 @@ impl Ctx {
         Ok(Ctx {
             shard,
             owned,
-            forward_obs,
             rng_demand,
             rng_linger,
             rng_route,
@@ -702,7 +682,7 @@ impl Ctx {
             }
         }
         let track = self.links[0].name;
-        self.req_span(trace, track, ntier_trace::HEDGE, now, now, q);
+        self.req_span(trace, track, ntier_trace::HEDGE, now, now);
         q.schedule(
             now + self.hop(512),
             Ev::Tier(app_t as u8, TierMsg::ReqArrive(r)),
@@ -756,7 +736,7 @@ impl Ctx {
             _ => ntier_trace::CRASH,
         };
         let track = self.links[app_t].name;
-        self.req_span(trace, track, name, now, now, q);
+        self.req_span(trace, track, name, now, now);
         let pool = self.nodes[ni].pool.as_mut().expect("app tier has threads");
         if let Some(next) = pool.release(now) {
             q.schedule_now(Ev::Tier(app_t as u8, TierMsg::PoolGranted(next as ReqId)));
@@ -797,22 +777,25 @@ impl Ctx {
         // Demand attribution for the flight recorder. Requests charge the
         // per-tier array of their observation record directly (front shard
         // only — requests never leave it; no record, no charge: the recorder
-        // rides on the tracer); queries accumulate on the local mirror and
-        // settle upstream via the reply wires, so no shard writes another's
-        // slabs. Either way the accumulation is flushed to the recorder in
-        // one batch at the client response, keeping this per-submit hot path
-        // to a table hit and an add.
+        // rides on the tracer) until the front shard's `EndMeasure` disarms
+        // the recorder; queries accumulate on the local mirror and settle
+        // upstream via the reply wires, so no shard writes another's slabs.
+        // A query shard's gate cannot read the recorder's armed state: the
+        // executor lets shards drift up to a lookahead apart, so that state
+        // would depend on how they interleave. Either way the accumulation
+        // is flushed to the recorder in one batch at the client response,
+        // keeping this per-submit hot path to a table hit and an add.
         match tok {
             Token::Req(r) => {
                 if let Some(table) = self.req_obs.as_mut() {
-                    if self.flight.as_deref().is_some_and(FlightRecorder::armed) {
+                    if self.flight.as_ref().is_some_and(|f| f.borrow().armed()) {
                         let (t, _) = self.node_tier[ni];
                         table[r as usize].demand_secs[t] += demand_secs;
                     }
                 }
             }
             Token::Query(qid) => {
-                if self.forward_obs || self.flight.as_deref().is_some_and(FlightRecorder::armed) {
+                if self.flight.is_some() {
                     self.queries.get_mut(qid).demand += demand_secs;
                 }
             }
@@ -848,10 +831,8 @@ impl Ctx {
     }
 
     /// Push a request-level span segment; no-op for untraced requests
-    /// (`trace == 0`) or when the tracer is off. On the front shard the span
-    /// also feeds the flight recorder directly; back shards forward it over
-    /// the engine's observation channel instead (delivered to the front in
-    /// deterministic `(time, key)` order under the lookahead rule).
+    /// (`trace == 0`) or when the tracer is off. The span also feeds the
+    /// run's flight recorder, whichever shard emits it.
     pub fn req_span(
         &mut self,
         trace: TraceId,
@@ -859,7 +840,6 @@ impl Ctx {
         name: &'static str,
         start: SimTime,
         end: SimTime,
-        q: &mut SimQueue<'_, '_>,
     ) {
         if trace == ENGINE_TRACE {
             return;
@@ -873,10 +853,8 @@ impl Ctx {
                 end,
             };
             tr.push(span);
-            if let Some(f) = self.flight.as_mut() {
-                f.observe(span);
-            } else if self.forward_obs {
-                q.observe_front(ObsMsg::Span(span));
+            if let Some(f) = &self.flight {
+                f.borrow_mut().observe(span);
             }
         }
     }
@@ -907,14 +885,8 @@ impl Ctx {
                 start: now,
                 end: now + pause,
             });
-            if let Some(f) = self.flight.as_mut() {
-                f.observe_gc(track, now, now + pause);
-            } else if self.forward_obs {
-                q.observe_front(ObsMsg::Gc {
-                    track,
-                    start: now,
-                    end: now + pause,
-                });
+            if let Some(f) = &self.flight {
+                f.borrow_mut().observe_gc(track, now, now + pause);
             }
         }
     }
@@ -1040,7 +1012,7 @@ impl Ctx {
         let trace = self.obs(r).trace;
         self.outcomes.count(outcome);
         if trace != ENGINE_TRACE {
-            if let Some(f) = self.flight.as_mut() {
+            if let Some(f) = &self.flight {
                 let label = match outcome {
                     Outcome::Completed => "completed",
                     Outcome::TimedOut => "timed-out",
@@ -1065,7 +1037,7 @@ impl Ctx {
                 // Only responses inside the measurement window compete for
                 // retention; out-of-window traces just free their buffer.
                 let retain = self.measuring && now <= self.measure_end;
-                f.complete(
+                f.borrow_mut().complete(
                     trace,
                     t_start,
                     now,
@@ -1142,7 +1114,7 @@ impl Ctx {
                 }
             }
             let track = self.links[0].name;
-            self.req_span(trace, track, ntier_trace::RETRY, now, now + delay, q);
+            self.req_span(trace, track, ntier_trace::RETRY, now, now + delay);
             q.schedule(now + delay, Ev::Reissue(session));
         } else if !self.draining {
             let think = self.sessions.think_time(session);
@@ -1186,7 +1158,7 @@ impl Ctx {
                     .expect("front tier has workers")
                     .cancel_waiter(now, r as u64);
                 let track = self.links[0].name;
-                self.req_span(trace, track, ntier_trace::TIMEOUT, now, now, q);
+                self.req_span(trace, track, ntier_trace::TIMEOUT, now, now);
                 if !cancelled {
                     // The pool granted this waiter at this same instant (the
                     // grant event is still in flight), so the request is past
@@ -1215,7 +1187,7 @@ impl Ctx {
                 let trace = self.obs(r).trace;
                 self.nodes[self.links[0].base + rep].timed_out += 1;
                 let track = self.links[0].name;
-                self.req_span(trace, track, ntier_trace::TIMEOUT, now, now, q);
+                self.req_span(trace, track, ntier_trace::TIMEOUT, now, now);
             }
             ReqPhase::WaitAppThread => {
                 // Queued for a servlet thread: cancel the waiter (no thread
@@ -1248,7 +1220,7 @@ impl Ctx {
                 self.nodes[ni].timed_out += 1;
                 self.route_departed(app_t, rep);
                 let track = self.links[app_t].name;
-                self.req_span(trace, track, ntier_trace::TIMEOUT, now, now, q);
+                self.req_span(trace, track, ntier_trace::TIMEOUT, now, now);
                 let up = self.links[app_t].up.expect("app tier has an upstream");
                 let hop = self.hop(2048);
                 q.schedule(now + hop, Ev::Tier(up as u8, TierMsg::ReqReply(r)));
@@ -1411,23 +1383,30 @@ impl System {
         let topo = cfg.effective_topology();
         topo.validate()?;
         let layout = ShardLayout::new(&topo, &cfg.params);
-        System::shard(cfg, 0, layout)
+        let flight = flight_recorder(&cfg, &topo);
+        System::shard(cfg, 0, layout, flight)
     }
 
     /// Build every shard of the topology's layout, in shard order (shard 0
-    /// is the front). The returned vector is what
-    /// [`simcore::ShardedEngine::new`] takes.
+    /// is the front), all sharing the run's one flight recorder. The
+    /// returned vector is what [`simcore::ShardedEngine::new`] takes.
     pub(crate) fn shards(cfg: SystemConfig) -> Result<Vec<System>, TopologyError> {
         let topo = cfg.effective_topology();
         topo.validate()?;
         let layout = ShardLayout::new(&topo, &cfg.params);
+        let flight = flight_recorder(&cfg, &topo);
         (0..layout.n_shards())
-            .map(|s| System::shard(cfg.clone(), s, layout.clone()))
+            .map(|s| System::shard(cfg.clone(), s, layout.clone(), flight.clone()))
             .collect()
     }
 
-    fn shard(cfg: SystemConfig, s: usize, layout: ShardLayout) -> Result<Self, TopologyError> {
-        let ctx = Ctx::new(cfg, s, &layout)?;
+    fn shard(
+        cfg: SystemConfig,
+        s: usize,
+        layout: ShardLayout,
+        flight: Option<SharedFlight>,
+    ) -> Result<Self, TopologyError> {
+        let ctx = Ctx::new(cfg, s, &layout, flight)?;
         let tiers = ctx
             .links
             .iter()
@@ -1452,6 +1431,32 @@ impl System {
     pub fn in_flight(&self) -> usize {
         self.ctx.requests.len()
     }
+}
+
+/// The run's flight recorder, when both tracing and [`SystemConfig::flight`]
+/// are on (it needs spans, so it rides on the tracer). Its windows align
+/// with the metrics cadence when both are configured, so exemplars link 1:1
+/// to metric windows.
+fn flight_recorder(cfg: &SystemConfig, topo: &Topology) -> Option<SharedFlight> {
+    if !cfg.trace.enabled() {
+        return None;
+    }
+    let mut roles = TrackRoles::new();
+    for spec in &topo.tiers {
+        let role = match spec.role {
+            Tier::Web => TrackRole::Web,
+            Tier::App => TrackRole::App,
+            Tier::Cmw => TrackRole::Mw,
+            Tier::Db => TrackRole::Db,
+        };
+        roles.insert(spec.name, role);
+    }
+    let fcfg = match cfg.metrics.window() {
+        Some(w) => cfg.flight.with_window(w),
+        None => cfg.flight,
+    };
+    let origin = cfg.workload.measure_start();
+    FlightRecorder::new(fcfg, cfg.seed, origin, roles).map(|f| Rc::new(RefCell::new(f)))
 }
 
 mod drain;

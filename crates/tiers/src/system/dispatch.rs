@@ -13,8 +13,11 @@
 //!   `shard_of_tier[t]`, client/timer events to the front shard, node-local
 //!   machinery to `shard_of_node`), so handler code never mentions shards.
 //! * The [`ShardModel`] impl — the thin match that dispatches events into
-//!   `Ctx`/tier-node handlers and ingests cross-shard observations (spans
-//!   and GC windows feeding the front shard's flight recorder).
+//!   `Ctx`/tier-node handlers.
+//!
+//! Events are the only thing that crosses shards through the engine. The
+//! run's one flight recorder is shared by every shard's `Ctx`, and each
+//! shard feeds it spans and GC windows as it emits them.
 //!
 //! The cross-shard *lookahead* is `ServiceParams::hop(300)`: the smallest
 //! delivery delay any cross-tier message can have. Every `QueryArrive`/
@@ -28,28 +31,7 @@ use crate::config::ServiceParams;
 use crate::ids::{Tier, Token};
 use crate::tier_nodes::TierNode;
 use crate::topology::Topology;
-use ntier_trace::Span;
 use simcore::{ShardIo, ShardModel, SimTime};
-
-/// A passive observation crossing from a back shard to the front shard's
-/// flight recorder. Observations ride the engine's dedicated channel: they
-/// carry their own key counter, so emitting them never perturbs event
-/// ordering, and they are ingested in deterministic `(time, key)` order
-/// under the lookahead delay rule.
-#[derive(Debug, Clone, Copy)]
-pub enum ObsMsg {
-    /// A request-level span recorded on a back shard.
-    Span(Span),
-    /// A stop-the-world GC window on a back-shard node.
-    Gc {
-        /// Track (server name) the pause happened on.
-        track: &'static str,
-        /// Pause start.
-        start: SimTime,
-        /// Pause end.
-        end: SimTime,
-    },
-}
 
 /// The topology-fixed shard layout: which shard owns each tier and node,
 /// and the cross-shard lookahead every send respects.
@@ -134,7 +116,7 @@ impl ShardLayout {
 /// cross-shard destinations into lookahead-checked sends. Local
 /// destinations take the plain event-list path.
 pub(crate) struct SimQueue<'a, 'b> {
-    pub io: &'a mut ShardIo<'b, Ev, ObsMsg>,
+    pub io: &'a mut ShardIo<'b, Ev>,
     pub layout: &'a ShardLayout,
 }
 
@@ -153,14 +135,6 @@ impl SimQueue<'_, '_> {
     pub fn schedule_now(&mut self, ev: Ev) {
         let now = self.io.now();
         self.schedule(now, ev);
-    }
-
-    /// Forward a passive observation to the front shard's flight recorder,
-    /// stamped with the current instant.
-    #[inline]
-    pub fn observe_front(&mut self, obs: ObsMsg) {
-        let now = self.io.now();
-        self.io.observe(0, now, obs);
     }
 }
 
@@ -190,9 +164,8 @@ fn on_cpu_check(
 
 impl ShardModel for System {
     type Event = Ev;
-    type Obs = ObsMsg;
 
-    fn handle(&mut self, now: SimTime, event: Ev, io: &mut ShardIo<'_, Ev, ObsMsg>) {
+    fn handle(&mut self, now: SimTime, event: Ev, io: &mut ShardIo<'_, Ev>) {
         let System { ctx, tiers, layout } = self;
         let q = &mut SimQueue {
             io,
@@ -222,18 +195,6 @@ impl ShardModel for System {
             }
             Ev::Recover { node } => ctx.nodes[node as usize].up = true,
             Ev::HedgeFire { r, seq } => ctx.on_hedge_fire(r, seq, now, q),
-        }
-    }
-
-    fn ingest(&mut self, _at: SimTime, obs: ObsMsg) {
-        // Observations only target the front shard; a run without a flight
-        // recorder never emits any.
-        let Some(f) = self.ctx.flight.as_mut() else {
-            return;
-        };
-        match obs {
-            ObsMsg::Span(span) => f.observe(span),
-            ObsMsg::Gc { track, start, end } => f.observe_gc(track, start, end),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Monitoring and summary construction: the per-second sampling loop, the
 //! measurement-window begin/end handlers, and the fold from accumulated
-//! telemetry into the final [`RunOutput`]. Pure code motion out of
-//! `system.rs`; every method still operates on the shared [`Ctx`].
+//! telemetry into the final [`RunOutput`]. Every method operates on the
+//! shared [`Ctx`].
 
 use super::*;
 
@@ -50,8 +50,14 @@ impl Ctx {
         self.measuring = false;
         // Completions after this instant can never be retained; stop the
         // flight recorder's span/demand collection for the drain phase.
-        if let Some(f) = self.flight.as_mut() {
-            f.disarm();
+        // Only the front shard's marker disarms: a back shard may pop its
+        // own `EndMeasure` up to a lookahead ahead of the front, and
+        // disarming there would drop front spans of traces that still
+        // complete inside the window.
+        if self.shard == 0 {
+            if let Some(f) = &self.flight {
+                f.borrow_mut().disarm();
+            }
         }
         self.sample_all(now);
         let mut reports = Vec::with_capacity(self.owned.len());

@@ -201,13 +201,15 @@ pub fn run_system_full(cfg: SystemConfig) -> (RunOutput, RunTrace, Option<Box<Ru
     }
     seed_engine_events(&mut engine);
     engine.run_until(trial_end);
-    // Deliver the observations still pending at the horizon (back-shard
-    // spans and GC windows bound for the flight recorder).
-    engine.finish_observations();
     let profile = engine.profile();
     let events = profile.events_processed;
     let (mut system, tracers) = merge_shards(engine.into_models());
-    let recorder = system.ctx.flight.take();
+    // The back shards' handles went with them, so the front's is the last.
+    let recorder = system.ctx.flight.take().map(|f| {
+        Rc::into_inner(f)
+            .expect("the back shards released the flight recorder")
+            .into_inner()
+    });
     let metrics = system.ctx.metrics_out.take();
     // Head-sampling admit decisions all happen on the front shard; span
     // rings overwrite independently per shard.

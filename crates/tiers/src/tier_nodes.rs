@@ -84,7 +84,7 @@ impl WebNode {
                 ctx.nodes[ni].shed += 1;
                 ctx.route_departed(self.id, rep);
                 let track = ctx.links[self.id].name;
-                ctx.req_span(trace, track, ntier_trace::SHED, now, now, q);
+                ctx.req_span(trace, track, ntier_trace::SHED, now, now);
                 // No worker ⇒ no linger arm.
                 ctx.free_request_arm(r);
                 q.schedule(now + ctx.hop(512), Ev::ResponseToClient(r));
@@ -106,7 +106,7 @@ impl WebNode {
             ctx.nodes[ni].failed += 1;
             ctx.route_departed(self.id, rep);
             let track = ctx.links[self.id].name;
-            ctx.req_span(trace, track, ntier_trace::BREAKER, now, now, q);
+            ctx.req_span(trace, track, ntier_trace::BREAKER, now, now);
             // No worker ⇒ no linger arm.
             ctx.free_request_arm(r);
             q.schedule(now + ctx.hop(512), Ev::ResponseToClient(r));
@@ -133,7 +133,7 @@ impl WebNode {
         };
         let trace = ctx.obs(r).trace;
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::ACCEPT_WAIT, t_arrive, now, q);
+        ctx.req_span(trace, track, ntier_trace::ACCEPT_WAIT, t_arrive, now);
         ctx.cpu_submit(ni, Token::Req(r), demand, now, q);
     }
 
@@ -147,7 +147,7 @@ impl WebNode {
         };
         let trace = ctx.obs(r).trace;
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::WORKER_PRE, t_worker, now, q);
+        ctx.req_span(trace, track, ntier_trace::WORKER_PRE, t_worker, now);
         ctx.probes[rep].interacting += 1;
         let down = ctx.links[self.id]
             .down
@@ -182,8 +182,8 @@ impl WebNode {
             ctx.probes[rep].processed.incr(now);
         }
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::WORKER_POST, t_post, now, q);
-        ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_arrive, now, q);
+        ctx.req_span(trace, track, ntier_trace::WORKER_POST, t_post, now);
+        ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_arrive, now);
         if let Some(o) = ctx.obs_mut(r) {
             o.t_front_done = now;
         }
@@ -215,7 +215,7 @@ impl WebNode {
             (o.trace, o.t_front_done)
         };
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::LINGER_CLOSE, t_done, now, q);
+        ctx.req_span(trace, track, ntier_trace::LINGER_CLOSE, t_done, now);
         // Worker busy-time probes (Fig. 7(b)/(e)).
         {
             let req = ctx.requests.get(r);
@@ -262,14 +262,7 @@ impl WebNode {
             None => ntier_trace::ENGINE_TRACE,
         };
         let track = ctx.links[self.id].name;
-        ctx.req_span(
-            trace,
-            track,
-            ntier_trace::TOMCAT_INTERACT,
-            t_interact,
-            now,
-            q,
-        );
+        ctx.req_span(trace, track, ntier_trace::TOMCAT_INTERACT, t_interact, now);
         ctx.probes[rep].interacting -= 1;
         let demand = ctx.jitter_ms(demand_ms);
         ctx.cpu_submit(ni, Token::Req(r), demand, now, q);
@@ -373,7 +366,7 @@ impl AppNode {
                 None => ntier_trace::ENGINE_TRACE,
             };
             let track = ctx.links[self.id].name;
-            ctx.req_span(trace, track, ntier_trace::THREAD_WAIT, t_arrive, now, q);
+            ctx.req_span(trace, track, ntier_trace::THREAD_WAIT, t_arrive, now);
         }
         ctx.jvm_alloc(ni, slice_alloc, now, q);
         ctx.cpu_submit(ni, Token::Req(r), slice_demand, now, q);
@@ -417,8 +410,8 @@ impl AppNode {
             };
             ctx.nodes[ni].log.record(t_arrive, now);
             let track = ctx.links[self.id].name;
-            ctx.req_span(trace, track, ntier_trace::SERVICE, t_granted, now, q);
-            ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_arrive, now, q);
+            ctx.req_span(trace, track, ntier_trace::SERVICE, t_granted, now);
+            ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_arrive, now);
             if ctx.links[self.id].timeout.is_some() {
                 // The app tier armed the active deadline; its residence is
                 // over, so disarm (a front-tier deadline, if configured,
@@ -455,7 +448,7 @@ impl AppNode {
             None => (ntier_trace::ENGINE_TRACE, SimTime::ZERO),
         };
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::CONN_WAIT, t_wait, now, q);
+        ctx.req_span(trace, track, ntier_trace::CONN_WAIT, t_wait, now);
         let qid = {
             let mut query = Query::new(r, is_write, SimTime::ZERO);
             query.t_issued = now;
@@ -597,7 +590,7 @@ impl AppNode {
         // The fan-out child as the app thread sees it: DB connection held
         // from issue to reply consumption (the paper's `t1'`/`t2'` periods).
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::QUERY, t_issued, now, q);
+        ctx.req_span(trace, track, ntier_trace::QUERY, t_issued, now);
         let pool = ctx.nodes[ni]
             .conn_pool
             .as_mut()
@@ -794,7 +787,7 @@ impl CmwNode {
         };
         ctx.nodes[ni].log.record(t_enter, now);
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_enter, now, q);
+        ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_enter, now);
         // The result set travels back and is consumed by the JDBC driver
         // while the app thread and DB connection stay occupied.
         let up = ctx.links[self.id].up.expect("middleware has an upstream");
@@ -984,7 +977,7 @@ impl DbNode {
         };
         ctx.nodes[ni].log.record(t_enter, now);
         let track = ctx.links[self.id].name;
-        ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_enter, now, q);
+        ctx.req_span(trace, track, ntier_trace::RESIDENCE, t_enter, now);
         let up = ctx.links[self.id].up.expect("db tier has an upstream");
         q.schedule(
             now + ctx.hop(2048),

@@ -462,21 +462,13 @@ fn classify_span(span: &Span, roles: &TrackRoles) -> Option<SpanClass> {
     }
 }
 
-/// Whether a span becomes a sweep segment in [`attribute`]. Spans outside
-/// this set are either ignored by the sweep — query bookkeeping, resilience
-/// markers, web/app residences already tiled by finer spans — or accounted
-/// out-of-band past the end of the latency window (linger), so callers
-/// buffering spans for later classification (the flight recorder) need not
-/// keep them.
-#[inline]
-pub fn classifiable(span: &Span, roles: &TrackRoles) -> bool {
-    classify(span, roles).is_some()
-}
-
 /// Resolve a span to its pre-classified sweep form, or `None` when the
-/// sweep would never charge it. Exactly the [`classifiable`] set: linger
-/// spans also map to `None` — they carry no latency and only the full
-/// [`attribute`] path accounts them out-of-band.
+/// sweep would never charge it: query bookkeeping, resilience markers and
+/// web/app residences already tiled by finer spans are ignored by the
+/// sweep, and linger spans carry no latency (only the full [`attribute`]
+/// path accounts them, out-of-band past the end of the latency window). So
+/// callers buffering spans for later classification (the flight recorder)
+/// need not keep any of them.
 #[inline]
 pub fn classify(span: &Span, roles: &TrackRoles) -> Option<ClassifiedSpan> {
     match classify_span(span, roles)? {

@@ -35,11 +35,12 @@
 use simcore::SimTime;
 
 use crate::critical::{
-    attribute_classified_with, classifiable, classify, Attribution, AttributionScratch, Bucket,
-    ClassifiedSpan, GcTimeline, TrackRoles,
+    attribute_classified_with, classify, Attribution, AttributionScratch, Bucket, ClassifiedSpan,
+    GcTimeline, TrackRoles,
 };
 use crate::json::{obj, Json};
 use crate::tracer::{Span, TraceId, ENGINE_TRACE};
+use crate::RETRY;
 
 /// Tail-sampling configuration. `Off` costs nothing; `On` requires tracing
 /// to be enabled (no spans, no evidence).
@@ -263,19 +264,30 @@ impl FlightRecorder {
     /// Whether a span is relevant to the recorder. Only spans that can feed
     /// the critical-path sweep count; the rest (query bookkeeping,
     /// resilience markers, coarse residences) would be discarded by
-    /// [`crate::critical::attribute`] anyway. Linger spans are also
-    /// excluded: they are emitted when the worker finally releases the
-    /// connection — after the client response that closes the latency
-    /// window, hence after classification already ran. Teardown uses this
-    /// same predicate to count ring-surviving spans, so [`Exemplar::spans`]
-    /// and the truncation check always agree on what "a span" is — which is
-    /// why it deliberately ignores [`FlightRecorder::disarm`]: the count
-    /// runs after the recorder was disarmed, over spans buffered while it
-    /// was armed. Only live buffering ([`FlightRecorder::observe`]) stops
-    /// at disarm.
+    /// [`crate::critical::attribute`] anyway. Linger and retry-backoff
+    /// spans are also excluded: both are emitted at or after the client
+    /// response that closes the latency window (a linger span when the
+    /// worker finally releases the connection, a retry span as the failed
+    /// attempt schedules its reissue), hence after classification already
+    /// ran. Teardown uses this same predicate to count ring-surviving spans,
+    /// so [`Exemplar::spans`] and the truncation check always agree on what
+    /// "a span" is — which is why it deliberately ignores
+    /// [`FlightRecorder::disarm`]: the count runs after the recorder was
+    /// disarmed, over spans buffered while it was armed. Only live
+    /// buffering ([`FlightRecorder::observe`]) stops at disarm.
     #[inline]
     pub fn observes(&self, span: &Span) -> bool {
-        span.trace != ENGINE_TRACE && classifiable(span, &self.roles)
+        self.segment(span).is_some()
+    }
+
+    /// The sweep segment a relevant span is buffered as; `None` exactly
+    /// outside the [`FlightRecorder::observes`] set.
+    #[inline]
+    fn segment(&self, span: &Span) -> Option<ClassifiedSpan> {
+        if span.trace == ENGINE_TRACE || span.name == RETRY {
+            return None;
+        }
+        classify(span, &self.roles)
     }
 
     /// Resolve (or allocate) the buffer slot for a trace.
@@ -322,10 +334,10 @@ impl FlightRecorder {
     /// sweep segments.
     #[inline]
     pub fn observe(&mut self, span: Span) {
-        if self.disarmed || span.trace == ENGINE_TRACE {
+        if self.disarmed {
             return;
         }
-        let Some(c) = classify(&span, &self.roles) else {
+        let Some(c) = self.segment(&span) else {
             return;
         };
         let track = self.track_index(c.track);
@@ -697,7 +709,7 @@ fn splitmix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::critical::TrackRole;
-    use crate::{SERVICE, WORKER_PRE};
+    use crate::{ACCEPT_WAIT, CONN_WAIT, RESIDENCE, SERVICE, THREAD_WAIT, WORKER_POST, WORKER_PRE};
 
     fn roles() -> TrackRoles {
         let mut r = TrackRoles::new();
@@ -919,5 +931,100 @@ mod tests {
         let sum = rec.finish(None);
         assert_eq!(sum.classified, 0);
         assert!(sum.windows.is_empty());
+    }
+
+    /// A retry-backoff span is emitted as the failed attempt schedules its
+    /// reissue, after that trace's `complete()` already freed its buffer.
+    /// It must neither open a fresh buffer (trace ids are never reused, so
+    /// nothing would ever free it) nor count toward the truncation check.
+    #[test]
+    fn a_span_after_completion_opens_no_buffer() {
+        let mut rec = recorder(4);
+        run_one(&mut rec, 1, 1000, 500, false);
+        let retry = Span {
+            trace: 1,
+            track: "Apache",
+            name: RETRY,
+            start: SimTime(1500),
+            end: SimTime(2500),
+        };
+        rec.observe(retry);
+        assert_eq!(rec.slot_of[1], 0, "the completed trace reopened a slot");
+        assert_eq!(rec.free.len(), rec.bufs.len(), "a buffer is still live");
+        assert!(!rec.observes(&retry));
+        // The ring holds both of trace 1's spans; only the service span
+        // counts, as it did for the exemplar.
+        let sum = rec.finish(Some(&[0, 1]));
+        assert!(!sum.windows[0].truncated);
+        assert_eq!(sum.windows[0].exemplars.len(), 1);
+    }
+
+    /// Shards feed the recorder as they run, so one trace's spans may
+    /// arrive back tier first or front tier first, interleaved with another
+    /// live trace's, and GC windows of different tracks in either order.
+    /// The summary must be the same.
+    #[test]
+    fn summary_does_not_depend_on_delivery_order() {
+        let mut roles = roles();
+        roles.insert("C-JDBC", TrackRole::Mw);
+        roles.insert("MySQL", TrackRole::Db);
+        let span = |trace, track, name, start, end| Span {
+            trace,
+            track,
+            name,
+            start: SimTime(start),
+            end: SimTime(end),
+        };
+        let front = [
+            span(1, "Apache", ACCEPT_WAIT, 0, 10),
+            span(1, "Apache", WORKER_PRE, 10, 60),
+            span(1, "Tomcat", THREAD_WAIT, 60, 90),
+            span(1, "Tomcat", SERVICE, 90, 200),
+            span(1, "Tomcat", CONN_WAIT, 200, 260),
+            span(1, "Tomcat", SERVICE, 720, 880),
+            span(1, "Apache", WORKER_POST, 880, 950),
+        ];
+        let back = [
+            span(1, "C-JDBC", RESIDENCE, 300, 700),
+            span(1, "MySQL", RESIDENCE, 350, 650),
+        ];
+        let other = [
+            span(2, "Tomcat", SERVICE, 100, 400),
+            span(2, "MySQL", RESIDENCE, 420, 600),
+            span(2, "Apache", WORKER_POST, 600, 640),
+        ];
+        let gc = [("MySQL", 400, 450), ("Tomcat", 100, 120)];
+        let run = |back_first: bool| {
+            let mut rec =
+                FlightRecorder::new(FlightConfig::tail(4), 42, SimTime::ZERO, roles.clone())
+                    .expect("armed config");
+            let order: Vec<Span> = if back_first {
+                back.iter().chain(&front).copied().collect()
+            } else {
+                front.iter().chain(&back).copied().collect()
+            };
+            for (i, s) in order.into_iter().enumerate() {
+                rec.observe(s);
+                if let Some(&o) = other.get(i) {
+                    rec.observe(o);
+                }
+            }
+            let mut pauses = gc;
+            if back_first {
+                pauses.reverse();
+            }
+            for (track, start, end) in pauses {
+                rec.observe_gc(track, SimTime(start), SimTime(end));
+            }
+            let demand = [("Tomcat", 0.000_2), ("MySQL", 0.000_1)];
+            rec.complete(1, SimTime(0), SimTime(1000), COMPLETED, true, &demand);
+            let failed = CompletionOutcome {
+                ok: false,
+                label: "failed",
+            };
+            rec.complete(2, SimTime(50), SimTime(700), failed, true, &[]);
+            format!("{:?}", rec.finish(None))
+        };
+        assert_eq!(run(true), run(false));
     }
 }

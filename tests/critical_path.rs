@@ -19,7 +19,9 @@ mod common;
 
 use common::{scaled_config, scaled_knee};
 use rubbos_ntier::metrics::RunMetrics;
+use rubbos_ntier::ntier_trace::RETRY;
 use rubbos_ntier::prelude::*;
+use simcore::SimTime;
 
 /// Arm the full observability stack on a scaled config.
 fn arm(cfg: &mut SystemConfig) {
@@ -95,7 +97,7 @@ fn attribution_conserves_latency_across_topologies_and_seeds() {
             SoftAllocation::new(8, 30, 10),
             900,
             3,
-            RetryPolicy::backoff(3, simcore::SimTime::from_millis(50), 2.0, 0.2),
+            RetryPolicy::backoff(3, SimTime::from_millis(50), 2.0, 0.2),
         ),
     ];
     for (hw, soft, users, seed, retry) in combos {
@@ -168,6 +170,63 @@ fn ring_overwrite_marks_windows_truncated_not_silently_wrong() {
     let (_, control_flight, control_trace) = armed_run(control);
     assert_eq!(control_trace.overwritten, 0);
     assert_eq!(control_flight.truncated_windows(), 0);
+}
+
+/// Regression: a failed attempt's retry-backoff span is emitted after the
+/// recorder classified that attempt, so the recorder never counted it; the
+/// teardown cross-check did, so as soon as the ring overwrote anything,
+/// every window citing a retried request was flagged truncated and lost its
+/// exemplars. A ring that evicts only ramp-up spans, long before the
+/// measurement window, must leave the summary exactly as an unbounded ring
+/// does, on a retry storm (front-tier timeouts, naive retries, and a slow
+/// middleware replica mid-window).
+#[test]
+fn ring_overwrite_before_the_window_truncates_nothing_under_retries() {
+    let mut cfg = scaled_config(
+        HardwareConfig::one_two_one_two(),
+        SoftAllocation::rule_of_thumb(),
+        700,
+    );
+    let mut topo = cfg.effective_topology();
+    topo.tiers[0].timeout = Some(SimTime::from_secs(2));
+    topo.tiers[2].fault =
+        FaultSpec::none().with_slow(0, SimTime::from_secs(14), Some(SimTime::from_secs(20)), 6.0);
+    let front = [topo.tiers[0].name, topo.tiers[1].name];
+    cfg.topology = Some(topo);
+    cfg.retry = RetryPolicy::naive(4);
+
+    let (_, unbounded, trace) = armed_run(cfg.clone());
+    assert_eq!(trace.overwritten, 0);
+    let retried = unbounded
+        .windows
+        .iter()
+        .flat_map(|w| &w.exemplars)
+        .filter(|e| {
+            trace
+                .spans
+                .iter()
+                .any(|s| s.trace == e.trace && s.name == RETRY)
+        })
+        .count();
+    assert!(retried > 0, "no retained exemplar was retried");
+
+    // The front ring evicts oldest first: size it to drop exactly the
+    // spans that ended during the first two seconds of the ramp.
+    let front_spans: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| front.contains(&s.track))
+        .collect();
+    let early = front_spans
+        .iter()
+        .filter(|s| s.end < SimTime::from_secs(2))
+        .count();
+    assert!(early > 0);
+    cfg.trace_capacity = Some(front_spans.len() - early);
+    let (_, bounded, trace) = armed_run(cfg);
+    assert!(trace.overwritten > 0, "ring never overwrote");
+    assert_eq!(bounded.truncated_windows(), 0);
+    assert_eq!(format!("{bounded:?}"), format!("{unbounded:?}"));
 }
 
 /// Manual acceptance check (release builds only — debug timings are

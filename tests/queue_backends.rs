@@ -65,15 +65,12 @@ impl Chaos {
 
 impl ShardModel for Chaos {
     type Event = u32;
-    type Obs = ();
 
-    fn handle(&mut self, now: SimTime, event: u32, io: &mut ShardIo<'_, u32, ()>) {
+    fn handle(&mut self, now: SimTime, event: u32, io: &mut ShardIo<'_, u32>) {
         for (dest, at, child) in self.step(now, event) {
             io.send(dest, at, child);
         }
     }
-
-    fn ingest(&mut self, _: SimTime, _: ()) {}
 }
 
 fn chaos(shards: usize, budget: u32) -> Vec<Chaos> {
